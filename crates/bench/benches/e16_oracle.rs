@@ -18,18 +18,21 @@
 //!   same instance must return identical labelings, spans, bounds, and
 //!   query counts (quick mode, where the dense matrix still fits).
 //!
-//! Full mode additionally runs the end-to-end engine solve at
-//! n = 50 000 — a size where the dense pipeline would need > 8 GiB and
-//! only the oracle path is on the table — and checks the `Auto` policy
-//! resolves to hub labels there. Writes `BENCH_oracle.json` at the
-//! workspace root. `DCLAB_BENCH_QUICK=1` shrinks n to 2000 (CI smoke).
+//! Every mode also times the end-to-end hub-backed engine solve
+//! (`solve_ms`) and, on its own, the feature extraction every solve
+//! starts with (`features_ms`: the exact diameter behind Theorem 2's
+//! eligibility check). Full mode runs that solve at n = 50 000 — a size
+//! where the dense pipeline would need > 8 GiB and only the oracle path
+//! is on the table — and checks the `Auto` policy resolves to hub labels
+//! there. Writes `BENCH_oracle.json` at the workspace root.
+//! `DCLAB_BENCH_QUICK=1` shrinks n to 2000 (CI smoke).
 
 use std::time::Instant;
 
 use dclab_core::distance::DistanceSource;
 use dclab_core::pvec::PVec;
 use dclab_engine::json::Obj;
-use dclab_engine::{solve, OraclePolicy, SolveRequest, Strategy};
+use dclab_engine::{solve, InstanceFeatures, OraclePolicy, SolveRequest, Strategy};
 use dclab_graph::generators::random;
 use dclab_oracle::{dense_matrix_bytes, dense_pipeline_bytes, HubLabels};
 use rand::rngs::StdRng;
@@ -102,6 +105,17 @@ fn main() {
             ));
             break;
         }
+    }
+
+    // --- feature extraction (the diameter every solve pays first) -------
+    let t0 = Instant::now();
+    let features = InstanceFeatures::extract(&g, &PVec::l21());
+    let features_ms = t0.elapsed().as_secs_f64() * 1e3;
+    if features.diameter != Some(2) {
+        failures.push(format!(
+            "core–periphery diameter {:?} ≠ Some(2)",
+            features.diameter
+        ));
     }
 
     // --- engine solve over the oracle path ------------------------------
@@ -179,7 +193,8 @@ fn main() {
     println!(
         "bench e16_oracle/smalldiam n={n} m={m}: build {build_ms:.0} ms, \
          {bytes_per_vertex:.0} B/vertex ({footprint_pct:.2}% of dense), \
-         query {query_ns:.0} ns, solve {solve_ms:.0} ms span={span} \
+         query {query_ns:.0} ns, features {features_ms:.1} ms, \
+         solve {solve_ms:.0} ms span={span} \
          (checksum {checksum})"
     );
 
@@ -200,6 +215,7 @@ fn main() {
             .f64("footprint_pct_of_dense", footprint_pct)
             .f64("oracle_bytes_per_vertex", bytes_per_vertex)
             .f64("oracle_query_ns", query_ns)
+            .f64("features_ms", features_ms)
             .f64("solve_ms", solve_ms)
             .u64("span", span)
             .u64("solve_queries", ostats.queries)

@@ -258,7 +258,10 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
     let deadline = req.budget.deadline();
     let g = &req.graph;
     let p = &req.pvec;
-    let features = InstanceFeatures::extract(g, p);
+    let features = {
+        let _span = dclab_trace::current().span("features");
+        InstanceFeatures::extract(g, p)
+    };
     let mut ctx = Ctx::new(g, p);
 
     if g.n() <= 1 {
@@ -1367,6 +1370,7 @@ mod tests {
                 .map(|p| p.name.as_str())
                 .collect();
             assert!(names.contains(&"solve"), "{strategy}: {names:?}");
+            assert!(names.contains(&"features"), "{strategy}: {names:?}");
             assert!(names.contains(&"reduce"), "{strategy}: {names:?}");
             assert!(names.contains(&"apsp"), "{strategy}: {names:?}");
             if strategy == Strategy::Race {

@@ -36,12 +36,14 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Extract features. The diameter comes from the streaming
-    /// bit-parallel BFS (`dclab_graph::diameter`): blocks of 64 BFS waves
-    /// folded into an eccentricity maximum without materializing the
-    /// `n × n` matrix, so `Strategy::Auto` dispatch stays cheap even on
-    /// large instances. The full distance matrix lives in the reduction,
-    /// which the engine computes separately (and once).
+    /// Extract features. The diameter is exact and comes from
+    /// `dclab_graph::diameter`: one BFS from a maximum-degree vertex, then
+    /// 64-source bit-parallel BFS blocks, deepest vertices first, until the
+    /// eccentricity bounds meet (iFUB, Crescenzi et al. 2013). On
+    /// small-diameter graphs with a hub that is one BFS plus one block, so
+    /// `Strategy::Auto` dispatch stays cheap even on large instances. The
+    /// full distance matrix lives in the reduction, which the engine
+    /// computes separately (and once).
     pub fn extract(g: &Graph, p: &PVec) -> InstanceFeatures {
         let diam = diameter(g);
         let k = p.k();

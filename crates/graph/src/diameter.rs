@@ -3,16 +3,36 @@
 use crate::apsp::BLOCK;
 use crate::csr::Csr;
 use crate::graph::Graph;
-use crate::traversal::{bfs64_distances_csr, bfs_distances};
+use crate::traversal::{bfs64_distances_csr, bfs_distances, bfs_distances_csr};
 use crate::INF;
+use std::cmp::Reverse;
 
 /// Diameter of `g`, or `None` when `g` is disconnected or empty (`n = 0`
 /// — no vertex pair, matching [`crate::DistanceMatrix::diameter`]).
 ///
-/// Runs the same bit-parallel BFS kernel as APSP, but streams blocks of
-/// 64 sources and folds their eccentricities instead of materializing the
-/// `n × n` matrix — `O(n)` words of memory per thread, which is what makes
-/// feature extraction (`Strategy::Auto` dispatch) cheap on large instances.
+/// Exact, by eccentricity bounds in the style of iFUB (Crescenzi et al.,
+/// *On computing the diameter of real-world undirected graphs*, TCS 2013):
+///
+/// 1. BFS once from a hub `u` (maximum degree, smallest id on ties); an
+///    unreachable vertex means `None`. Start with `lb = ecc(u)`.
+/// 2. Take the other vertices deepest BFS level first (ties by id) in
+///    blocks of 64 through the bit-parallel kernel, raising `lb` to the
+///    largest eccentricity each block finds.
+/// 3. Stop once `lb ≥ 2·L`, where `L` is the level of the first vertex
+///    not yet used as a source, and return `lb`.
+///
+/// The stop is safe because every remaining vertex lies within `L` of
+/// `u`, so two of them are within `2·L` of each other through `u`; every
+/// pair involving `u` or a processed vertex is within that vertex's
+/// eccentricity, which is at most `lb`. So `lb` is an upper bound as well
+/// as a lower one.
+///
+/// Worst case: one BFS, a counting sort, and `⌈(n−1)/64⌉` blocks — no
+/// more than BFS from every source. On small-diameter graphs with a hub
+/// (the paper's regime) the loop usually stops after the first block.
+/// Blocks run in waves of `dclab_par::default_threads()`, and the stop
+/// rule is checked between waves; the answer is exact, so it does not
+/// depend on the thread count. Memory is `O(n)` words per thread.
 pub fn diameter(g: &Graph) -> Option<u32> {
     let n = g.n();
     if n == 0 {
@@ -22,22 +42,53 @@ pub fn diameter(g: &Graph) -> Option<u32> {
         return Some(0);
     }
     let csr = Csr::from_graph(g);
-    let per_block: Vec<Option<u32>> = dclab_par::par_map_chunks(n, BLOCK, |range| {
-        let sources: Vec<usize> = range.collect();
-        let mut rows = vec![0u32; sources.len() * n];
-        bfs64_distances_csr(&csr, &sources, &mut rows);
-        let mut max = 0u32;
-        for &d in &rows {
-            if d == INF {
-                return None;
-            }
-            max = max.max(d);
+    let hub = (0..n)
+        .max_by_key(|&v| (csr.degree(v), Reverse(v)))
+        .expect("n ≥ 2");
+    let level = bfs_distances_csr(&csr, hub);
+    if level.contains(&INF) {
+        return None;
+    }
+    let mut lb = level.iter().copied().max().unwrap_or(0);
+    let order = deepest_first(&level, lb, hub);
+
+    let wave = dclab_par::default_threads() * BLOCK;
+    let mut done = 0;
+    while done < order.len() && lb < 2 * level[order[done]] {
+        let sources = &order[done..(done + wave).min(order.len())];
+        let block_max = dclab_par::par_map_chunks(sources.len(), BLOCK, |range| {
+            let block = &sources[range];
+            let mut rows = vec![0u32; block.len() * n];
+            bfs64_distances_csr(&csr, block, &mut rows);
+            rows.into_iter().max().unwrap_or(0)
+        });
+        lb = block_max.into_iter().fold(lb, u32::max);
+        done += sources.len();
+    }
+    Some(lb)
+}
+
+/// Every vertex but `hub`, by BFS level from `hub` (deepest first, ties
+/// by id) — a counting sort over levels `0..=max_level`.
+fn deepest_first(level: &[u32], max_level: u32, hub: usize) -> Vec<usize> {
+    let mut start = vec![0usize; max_level as usize + 2];
+    for (v, &l) in level.iter().enumerate() {
+        if v != hub {
+            start[(max_level - l) as usize + 1] += 1;
         }
-        Some(max)
-    });
-    per_block
-        .into_iter()
-        .try_fold(0u32, |acc, ecc| ecc.map(|e| acc.max(e)))
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut order = vec![0usize; level.len() - 1];
+    for (v, &l) in level.iter().enumerate() {
+        if v != hub {
+            let slot = &mut start[(max_level - l) as usize];
+            order[*slot] = v;
+            *slot += 1;
+        }
+    }
+    order
 }
 
 /// Eccentricity of a single vertex via one BFS; `None` when some vertex is
@@ -52,27 +103,6 @@ pub fn eccentricity(g: &Graph, v: usize) -> Option<u32> {
         max = max.max(x);
     }
     Some(max)
-}
-
-/// Cheap *lower* bound on the diameter by double-sweep BFS: BFS from `start`,
-/// then BFS from the farthest vertex found. Exact on trees; never exceeds the
-/// true diameter on connected graphs.
-pub fn diameter_lower_bound(g: &Graph, start: usize) -> Option<u32> {
-    if g.n() == 0 {
-        // Align with `diameter`: an empty graph has no vertex pair.
-        return None;
-    }
-    let d1 = bfs_distances(g, start);
-    let (far, &best) = d1
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &d)| if d == INF { 0 } else { d })
-        .unwrap();
-    if d1.contains(&INF) {
-        return None;
-    }
-    let _ = best;
-    eccentricity(g, far)
 }
 
 /// `true` iff `g` is connected with diameter at most `k` — the eligibility
@@ -100,12 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn double_sweep_is_exact_on_trees() {
-        let g = classic::path(10);
-        assert_eq!(diameter_lower_bound(&g, 4), Some(9));
-    }
-
-    #[test]
     fn eccentricity_of_center() {
         let g = classic::star(5);
         assert_eq!(eccentricity(&g, 0), Some(1));
@@ -125,7 +149,6 @@ mod tests {
         // n = 0: no vertex pair → None everywhere, matching the
         // DistanceMatrix doc.
         assert_eq!(diameter(&Graph::new(0)), None);
-        assert_eq!(diameter_lower_bound(&Graph::new(0), 0), None);
         assert!(!has_diameter_at_most(&Graph::new(0), 0));
         // n = 1: a single vertex has diameter 0.
         assert_eq!(diameter(&Graph::new(1)), Some(0));

@@ -55,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     // Metric sanity (zero diagonal, symmetry, triangle inequality) and
-    // diameter agreement between the streaming fold and the full matrix.
+    // diameter agreement between `diameter::diameter` and the full matrix.
     #[test]
     fn blocked_apsp_is_a_metric_and_diameters_agree(
         kind in 0usize..4,

@@ -614,6 +614,9 @@ fn request_ids_and_debug_traces() {
     assert!(metrics
         .body
         .contains("dclab_phase_seconds_count{phase=\"solve\"}"));
+    assert!(metrics
+        .body
+        .contains("dclab_phase_seconds_count{phase=\"features\"}"));
     stop(handle, client);
 }
 

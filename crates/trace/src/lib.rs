@@ -51,6 +51,7 @@ pub use flight::FlightRecorder;
 pub const PHASES: &[&str] = &[
     "request",
     "solve",
+    "features",
     "reduce",
     "apsp",
     "candidates",

@@ -204,3 +204,147 @@ proptest! {
         prop_assert_eq!(matching_weight(&dp, &w), matching_weight(&bl, &w));
     }
 }
+
+/// Differential check of the bounds-driven exact diameter against the
+/// scalar all-pairs matrix, on shapes that stress its stop rule: a hub at
+/// a random id, a hub far from the ends of the longest path, long paths
+/// and trees (many levels, many blocks), disconnected graphs whose
+/// components each have a universal vertex, and G(n, p) sizes around the
+/// 64-source block width. The answer must not depend on the thread count.
+#[test]
+fn diameter_matches_matrix_on_bound_stressing_shapes() {
+    use dclab::graph::diameter::diameter;
+    use dclab::graph::generators::{classic, random};
+    use dclab::graph::DistanceMatrix;
+
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let mut g = Graph::new(a.n() + b.n());
+        for (u, v) in a.edges() {
+            g.add_edge(u, v);
+        }
+        for (u, v) in b.edges() {
+            g.add_edge(a.n() + u, a.n() + v);
+        }
+        g
+    }
+    /// `K_clique` with a path of `left` vertices hanging off clique vertex
+    /// 0 and one of `right` vertices off clique vertex 1.
+    fn clique_with_tails(clique: usize, left: usize, right: usize) -> Graph {
+        let mut g = Graph::new(clique + left + right);
+        for u in 0..clique {
+            for v in (u + 1)..clique {
+                g.add_edge(u, v);
+            }
+        }
+        let mut at = clique;
+        for (anchor, len) in [(0, left), (1, right)] {
+            let mut prev = anchor;
+            for _ in 0..len {
+                g.add_edge(prev, at);
+                prev = at;
+                at += 1;
+            }
+        }
+        g
+    }
+
+    /// A hub with `leaves` pendant leaves and two arms of length `a`. Each
+    /// arm end carries a pendant path of length `c` (the diameter pair sits
+    /// at their tips) and a path of `b − 1` edges down to a shared set of
+    /// `k` vertices adjacent to both paths' ends. With `c < b` those `k`
+    /// vertices are the deepest from the hub yet none is a diameter end,
+    /// so the first 64-source block leaves `lb` below `2·L` and the stop
+    /// rule must keep going.
+    fn hub_far_from_diameter(a: usize, b: usize, c: usize, k: usize, leaves: usize) -> Graph {
+        let n = 1 + leaves + 2 * (a + c + b - 1) + k;
+        let mut g = Graph::new(n);
+        let mut next = 1;
+        let mut path_from = |g: &mut Graph, from: usize, len: usize| {
+            let mut prev = from;
+            for _ in 0..len {
+                g.add_edge(prev, next);
+                prev = next;
+                next += 1;
+            }
+            prev
+        };
+        for _ in 0..leaves {
+            path_from(&mut g, 0, 1);
+        }
+        let mut ends = [0; 2];
+        for end in &mut ends {
+            let arm = path_from(&mut g, 0, a);
+            path_from(&mut g, arm, c);
+            *end = path_from(&mut g, arm, b - 1);
+        }
+        for z in (n - k)..n {
+            g.add_edge(ends[0], z);
+            g.add_edge(ends[1], z);
+        }
+        g
+    }
+    fn relabel(g: Graph, rng: &mut StdRng) -> Graph {
+        let perm = random::random_permutation(rng, g.n());
+        g.relabeled(&perm)
+    }
+
+    let mut rng = StdRng::seed_from_u64(0xD1A);
+    let mut cases: Vec<(String, Graph)> = Vec::new();
+    for (n, core, p_extra) in [(100, 1, 0.0), (150, 3, 0.05), (300, 8, 0.0), (500, 1, 0.01)] {
+        let g = random::core_periphery(&mut rng, n, core, p_extra);
+        cases.push((format!("core_periphery({n},{core})"), relabel(g, &mut rng)));
+    }
+    for (clique, left, right) in [(12, 150, 0), (20, 70, 90), (40, 3, 200)] {
+        let g = clique_with_tails(clique, left, right);
+        cases.push((format!("lollipop({clique},{left},{right})"), g.clone()));
+        cases.push((
+            format!("lollipop({clique},{left},{right}) relabelled"),
+            relabel(g, &mut rng),
+        ));
+    }
+    for (a, b, c, k) in [(1, 3, 2, 64), (2, 6, 4, 62), (3, 9, 7, 62)] {
+        let g = hub_far_from_diameter(a, b, c, k, 80);
+        cases.push((format!("hub_far_from_diameter({a},{b},{c},{k})"), g.clone()));
+        cases.push((
+            format!("hub_far_from_diameter({a},{b},{c},{k}) relabelled"),
+            relabel(g, &mut rng),
+        ));
+    }
+    for n in [2usize, 3, 64, 65, 130, 257] {
+        cases.push((format!("path({n})"), classic::path(n)));
+        cases.push((
+            format!("path({n}) relabelled"),
+            relabel(classic::path(n), &mut rng),
+        ));
+        cases.push((format!("cycle({n})"), classic::cycle(n.max(3))));
+        cases.push((
+            format!("random_tree({n})"),
+            random::random_tree(&mut rng, n),
+        ));
+    }
+    let a = random::core_periphery(&mut rng, 80, 1, 0.05);
+    let b = classic::star(70);
+    cases.push((
+        "two hubbed components".into(),
+        relabel(disjoint_union(&a, &b), &mut rng),
+    ));
+    cases.push(("n=0".into(), Graph::new(0)));
+    cases.push(("n=1".into(), Graph::new(1)));
+    cases.push(("n=2 edge".into(), classic::path(2)));
+    cases.push(("n=2 no edge".into(), Graph::new(2)));
+    for n in [63usize, 64, 65, 129] {
+        for p in [0.02f64, 0.04, 0.08, 0.2, 0.5] {
+            cases.push((format!("gnp({n},{p})"), random::gnp(&mut rng, n, p)));
+        }
+    }
+
+    for (name, g) in &cases {
+        let expect = DistanceMatrix::compute_sequential(g).diameter();
+        for threads in [1usize, 4] {
+            dclab::par::set_thread_override(Some(threads));
+            let got = diameter(g);
+            dclab::par::set_thread_override(None);
+            assert_eq!(got, expect, "{name} at {threads} thread(s)");
+        }
+    }
+}
