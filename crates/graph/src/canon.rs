@@ -21,6 +21,32 @@
 //! [`CanonicalForm::perm`] maps original vertex ids to canonical ids, which
 //! lets a cache translate a stored labeling back into the requester's
 //! vertex numbering.
+//!
+//! # Linear passes
+//!
+//! The hash and edge list are encoded into archive keys and pick a
+//! cluster's owner replica, so their values are a format; the passes that
+//! compute them are tuned for speed without changing a bit.
+//!
+//! * **Refinement rows.** One flat signature buffer holds a row of
+//!   `deg(v) + 1` slots per vertex, allocated once per graph and reused by
+//!   every round and individualization step. A round counting-sorts the
+//!   vertices by colour, writes each vertex's colour at the head of its
+//!   row, then visits vertices in colour order and appends each one's
+//!   colour to its neighbours' rows — so every row comes out sorted with
+//!   no per-row sort. Vertex ids are then sorted by row slice within each
+//!   colour run; slice order is the order the signature vectors had, so
+//!   colour ids are unchanged.
+//! * **Pair lists.** The sorted multiset of edge colour pairs
+//!   `(min, max)` is a two-key bucket sort in O(n + m): each edge is
+//!   emitted once, from its endpoint of larger `(colour, id)`, into the
+//!   bucket of its smaller colour, visiting endpoints in colour order. When
+//!   the stable colouring is already discrete (every G(n, ½) instance in
+//!   practice) the colours *are* the canonical permutation, so the hash's
+//!   pair list is the canonical edge list and is computed once.
+//! * **FNV-1a stays bytewise.** [`Fnv64::write_u64`] feeds eight bytes one
+//!   at a time; a word-at-a-time variant would be faster but yield other
+//!   hash values, orphaning archived records and re-routing the cluster.
 
 use crate::graph::Graph;
 
@@ -86,17 +112,19 @@ pub struct CanonicalForm {
 impl CanonicalForm {
     /// Compute the canonical form of `g`.
     pub fn of(g: &Graph) -> CanonicalForm {
-        let colors = refine_to_stable(g, None);
-        let hash = invariant_hash(g, &colors);
-        let perm = canonical_perm(g, colors);
-        let mut edges: Vec<(u32, u32)> = g
-            .edges()
-            .map(|(u, v)| {
-                let (a, b) = (perm[u], perm[v]);
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        edges.sort_unstable();
+        let mut r = Refiner::new(g);
+        let colors = r.refine_to_stable(vec![0; g.n()]);
+        let pairs = r.color_pairs(&colors);
+        let hash = invariant_hash(g, &colors, &pairs);
+        // A discrete stable colouring is the canonical permutation itself,
+        // and its colour pairs are the canonical edge list.
+        let (perm, edges) = if color_count(&colors) == g.n() {
+            (colors, pairs)
+        } else {
+            let perm = r.canonical_perm(colors);
+            let edges = r.color_pairs(&perm);
+            (perm, edges)
+        };
         CanonicalForm {
             hash,
             perm,
@@ -114,71 +142,225 @@ impl CanonicalForm {
 
 /// The isomorphism-invariant hash alone (no relabeling work).
 pub fn canon_hash(g: &Graph) -> u64 {
-    let colors = refine_to_stable(g, None);
-    invariant_hash(g, &colors)
+    let mut r = Refiner::new(g);
+    let colors = r.refine_to_stable(vec![0; g.n()]);
+    let pairs = r.color_pairs(&colors);
+    invariant_hash(g, &colors, &pairs)
 }
 
-/// One round of color refinement: recolor every vertex by
-/// `(old color, sorted multiset of neighbor colors)`, with new color ids
-/// assigned in lexicographic signature order (an invariant ordering, since
-/// signatures are built from invariant ids). Returns the refined colors and
-/// the number of distinct colors.
-fn refine_round(g: &Graph, colors: &[u32]) -> (Vec<u32>, usize) {
-    let n = g.n();
-    let mut sigs: Vec<(Vec<u32>, usize)> = Vec::with_capacity(n);
-    for v in 0..n {
-        let mut sig = Vec::with_capacity(1 + g.degree(v));
-        sig.push(colors[v]);
-        let mut nbr: Vec<u32> = g.neighbors(v).iter().map(|&u| colors[u as usize]).collect();
-        nbr.sort_unstable();
-        sig.extend(nbr);
-        sigs.push((sig, v));
-    }
-    sigs.sort();
-    let mut new_colors = vec![0u32; n];
-    let mut next = 0u32;
-    for i in 0..n {
-        if i > 0 && sigs[i].0 != sigs[i - 1].0 {
-            next += 1;
-        }
-        new_colors[sigs[i].1] = next;
-    }
-    (new_colors, next as usize + 1)
+/// `max colour + 1` (0 for no vertices): the class count of a colouring
+/// whose ids are contiguous, as every refined colouring's are.
+fn color_count(colors: &[u32]) -> usize {
+    colors.iter().copied().max().map_or(0, |c| c as usize + 1)
 }
 
-/// Iterate refinement to the stable partition. `start` seeds the initial
-/// coloring (defaults to all-equal; individualization passes a coloring
-/// with one vertex split off).
-fn refine_to_stable(g: &Graph, start: Option<Vec<u32>>) -> Vec<u32> {
-    let n = g.n();
-    let mut colors = start.unwrap_or_else(|| vec![0u32; n]);
-    let mut distinct = colors
-        .iter()
-        .collect::<std::collections::HashSet<_>>()
-        .len();
-    loop {
-        let (next, next_distinct) = refine_round(g, &colors);
-        if next_distinct == distinct {
-            // A refinement round never merges classes, so an unchanged
-            // class count means the partition is stable.
-            return next;
+/// Colour refinement and pair-list buffers for one graph, allocated once
+/// and reused by every round and individualization step.
+struct Refiner<'g> {
+    g: &'g Graph,
+    /// Row `v` of `sig` is `offsets[v]..offsets[v + 1]` (`deg(v) + 1` slots).
+    offsets: Vec<usize>,
+    /// Signature rows: a vertex's colour, then its neighbours' colours in
+    /// ascending order.
+    sig: Vec<u32>,
+    /// Next free slot of each row while the rows fill.
+    cursor: Vec<usize>,
+    /// Vertices in ascending colour order (ties by id).
+    order: Vec<u32>,
+    /// `starts[c]..starts[c + 1]` is colour `c`'s run of `order`.
+    starts: Vec<usize>,
+    /// Bucket write positions of the counting sorts.
+    fill: Vec<usize>,
+}
+
+impl<'g> Refiner<'g> {
+    fn new(g: &'g Graph) -> Refiner<'g> {
+        let n = g.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for v in 0..n {
+            offsets.push(offsets[v] + g.degree(v) + 1);
         }
-        colors = next;
-        distinct = next_distinct;
-        if distinct == n {
-            return colors;
+        Refiner {
+            g,
+            sig: vec![0; offsets[n]],
+            offsets,
+            cursor: vec![0; n],
+            order: vec![0; n],
+            starts: Vec::new(),
+            fill: Vec::new(),
+        }
+    }
+
+    /// Counting-sort the vertices by colour into `order` and `starts`.
+    fn sort_by_color(&mut self, colors: &[u32]) {
+        let k = color_count(colors);
+        self.starts.clear();
+        self.starts.resize(k + 1, 0);
+        for &c in colors {
+            self.starts[c as usize + 1] += 1;
+        }
+        for c in 0..k {
+            self.starts[c + 1] += self.starts[c];
+        }
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.starts[..k]);
+        for (v, &c) in colors.iter().enumerate() {
+            self.order[self.fill[c as usize]] = v as u32;
+            self.fill[c as usize] += 1;
+        }
+    }
+
+    /// One round of colour refinement: recolour every vertex by
+    /// `(old colour, sorted multiset of neighbour colours)`, with new ids
+    /// assigned in lexicographic signature order (an invariant ordering,
+    /// since signatures are built from invariant ids). Writes the refined
+    /// colours to `out` and returns how many there are.
+    ///
+    /// Rows come out sorted without sorting any: vertices are visited in
+    /// colour order and append their colour to each neighbour's row.
+    fn round(&mut self, colors: &[u32], out: &mut [u32]) -> usize {
+        let g = self.g;
+        self.sort_by_color(colors);
+        let Refiner {
+            offsets,
+            sig,
+            cursor,
+            order,
+            starts,
+            ..
+        } = self;
+        for (v, &c) in colors.iter().enumerate() {
+            sig[offsets[v]] = c;
+            cursor[v] = offsets[v] + 1;
+        }
+        for &u in order.iter() {
+            let c = colors[u as usize];
+            for &w in g.neighbors(u as usize) {
+                sig[cursor[w as usize]] = c;
+                cursor[w as usize] += 1;
+            }
+        }
+        let row = |v: u32| &sig[offsets[v as usize]..offsets[v as usize + 1]];
+        // Rows of one colour run share their first entry, and runs are in
+        // colour order, so sorting within runs sorts all signatures.
+        for run in starts.windows(2) {
+            order[run[0]..run[1]].sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        }
+        let mut next = 0u32;
+        for i in 0..order.len() {
+            if i > 0 && row(order[i]) != row(order[i - 1]) {
+                next += 1;
+            }
+            out[order[i] as usize] = next;
+        }
+        next as usize + 1
+    }
+
+    /// Iterate refinement from `colors` to the stable partition (the
+    /// all-equal colouring, or one with a vertex split off by
+    /// individualization).
+    fn refine_to_stable(&mut self, mut colors: Vec<u32>) -> Vec<u32> {
+        let n = self.g.n();
+        let mut seen = vec![false; color_count(&colors)];
+        for &c in &colors {
+            seen[c as usize] = true;
+        }
+        let mut distinct = seen.iter().filter(|&&s| s).count();
+        let mut next = vec![0u32; n];
+        loop {
+            let next_distinct = self.round(&colors, &mut next);
+            if next_distinct == distinct {
+                // A refinement round never merges classes, so an unchanged
+                // class count means the partition is stable.
+                return next;
+            }
+            std::mem::swap(&mut colors, &mut next);
+            distinct = next_distinct;
+            if distinct == n {
+                return colors;
+            }
+        }
+    }
+
+    /// The multiset of edge colour pairs `(min, max)`, sorted, in
+    /// O(n + m + colours): each edge is emitted once, from its endpoint of
+    /// larger `(colour, id)`, into the bucket of its smaller colour, and
+    /// endpoints are visited in colour order, so every bucket fills sorted.
+    fn color_pairs(&mut self, colors: &[u32]) -> Vec<(u32, u32)> {
+        let g = self.g;
+        self.sort_by_color(colors);
+        let k = self.starts.len() - 1;
+        let fill = &mut self.fill;
+        fill.clear();
+        fill.resize(k + 1, 0);
+        for (u, &cu) in colors.iter().enumerate() {
+            for &w in g.neighbors(u) {
+                if w as usize > u {
+                    fill[cu.min(colors[w as usize]) as usize + 1] += 1;
+                }
+            }
+        }
+        for c in 0..k {
+            fill[c + 1] += fill[c];
+        }
+        let mut pairs = vec![(0u32, 0u32); g.m()];
+        for &w in &self.order {
+            let cw = colors[w as usize];
+            for &u in g.neighbors(w as usize) {
+                let cu = colors[u as usize];
+                if cu < cw || (cu == cw && u < w) {
+                    pairs[fill[cu as usize]] = (cu, cw);
+                    fill[cu as usize] += 1;
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Canonical relabeling: while classes remain non-singleton,
+    /// individualize the smallest-id non-singleton class (splitting off one
+    /// member) and re-refine. For classes that are automorphism orbits any
+    /// representative yields the same canonical graph; the member with the
+    /// smallest original id keeps the procedure deterministic.
+    fn canonical_perm(&mut self, mut colors: Vec<u32>) -> Vec<u32> {
+        let n = self.g.n();
+        loop {
+            let distinct = color_count(&colors);
+            if distinct == n {
+                return colors;
+            }
+            // Find the smallest color with ≥ 2 members and its first member.
+            let mut class_size = vec![0u32; distinct];
+            for &c in &colors {
+                class_size[c as usize] += 1;
+            }
+            let target = class_size
+                .iter()
+                .position(|&s| s >= 2)
+                .expect("non-discrete partition has a non-singleton class")
+                as u32;
+            let chosen = colors
+                .iter()
+                .position(|&c| c == target)
+                .expect("class member exists");
+            // Split `chosen` off: give it a fresh color below its old class
+            // so the seeded coloring stays a refinement of the stable one,
+            // then re-refine (ids are re-normalized by the next round).
+            let mut seeded: Vec<u32> = colors.iter().map(|&c| 2 * c + 1).collect();
+            seeded[chosen] = 2 * target;
+            colors = self.refine_to_stable(seeded);
         }
     }
 }
 
-/// Hash only refinement-invariant data: `n`, `m`, the sorted stable color
-/// histogram, and the sorted multiset of edge color pairs.
-fn invariant_hash(g: &Graph, colors: &[u32]) -> u64 {
+/// Hash only refinement-invariant data: `n`, `m`, the stable colour
+/// histogram, and the sorted multiset of edge colour pairs.
+fn invariant_hash(g: &Graph, colors: &[u32], pairs: &[(u32, u32)]) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(g.n() as u64);
     h.write_u64(g.m() as u64);
-    let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
-    let mut histogram = vec![0u64; distinct];
+    let mut histogram = vec![0u64; color_count(colors)];
     for &c in colors {
         histogram[c as usize] += 1;
     }
@@ -188,52 +370,10 @@ fn invariant_hash(g: &Graph, colors: &[u32]) -> u64 {
         h.write_u64(c as u64);
         h.write_u64(*count);
     }
-    let mut edge_pairs: Vec<(u32, u32)> = g
-        .edges()
-        .map(|(u, v)| {
-            let (a, b) = (colors[u], colors[v]);
-            (a.min(b), a.max(b))
-        })
-        .collect();
-    edge_pairs.sort_unstable();
-    for (a, b) in edge_pairs {
+    for &(a, b) in pairs {
         h.write_u64(((a as u64) << 32) | b as u64);
     }
     h.finish()
-}
-
-/// Canonical relabeling: refine, and while classes remain non-singleton,
-/// individualize the smallest-id non-singleton class (splitting off one
-/// member) and re-refine. For classes that are automorphism orbits any
-/// representative yields the same canonical graph; the member with the
-/// smallest original id keeps the procedure deterministic.
-fn canonical_perm(g: &Graph, mut colors: Vec<u32>) -> Vec<u32> {
-    let n = g.n();
-    loop {
-        let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
-        if distinct == n {
-            break;
-        }
-        // Find the smallest color with ≥ 2 members and its first member.
-        let mut class_size = vec![0u32; distinct];
-        for &c in &colors {
-            class_size[c as usize] += 1;
-        }
-        let target = class_size
-            .iter()
-            .position(|&s| s >= 2)
-            .expect("non-discrete partition has a non-singleton class") as u32;
-        let chosen = (0..n)
-            .find(|&v| colors[v] == target)
-            .expect("class member exists");
-        // Split `chosen` off: give it a fresh color below its old class so
-        // the seeded coloring stays a refinement of the stable one, then
-        // re-refine (ids are re-normalized by the next round anyway).
-        let mut seeded: Vec<u32> = colors.iter().map(|&c| 2 * c + 1).collect();
-        seeded[chosen] = 2 * target;
-        colors = refine_to_stable(g, Some(seeded));
-    }
-    colors
 }
 
 #[cfg(test)]

@@ -27,9 +27,63 @@ impl Graph {
     /// Build from an edge list; duplicate edges are ignored, self-loops are
     /// rejected with a panic (simple graphs only).
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Graph::new(n);
+        let flat: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| checked_edge(n, u, v)).collect();
+        Graph::assemble_dedup(n, &flat)
+    }
+
+    /// Bulk build from edges whose endpoints are distinct and below `n`
+    /// (the caller has checked). `Err(i)`: edge `i` is the first one that
+    /// repeats an earlier edge, in either orientation.
+    pub(crate) fn from_simple_edges(n: usize, edges: &[(u32, u32)]) -> Result<Graph, usize> {
+        let (g, has_dup) = Graph::assemble(n, edges);
+        if !has_dup {
+            return Ok(g);
+        }
+        let mut seen = std::collections::HashSet::with_capacity(edges.len());
+        Err(edges
+            .iter()
+            .position(|&(u, v)| !seen.insert((u.min(v), u.max(v))))
+            .expect("a repeated neighbour comes from a repeated edge"))
+    }
+
+    /// The one adjacency builder: count degrees, fill exact-capacity rows
+    /// in edge order, and sort only the rows that did not arrive sorted
+    /// (edges listed in `(u, v)` order, `u < v`, fill every row sorted).
+    /// Returns the graph with `m = edges.len()` and whether some row holds
+    /// a neighbour twice.
+    fn assemble(n: usize, edges: &[(u32, u32)]) -> (Graph, bool) {
+        let mut deg = vec![0u32; n];
         for &(u, v) in edges {
-            g.add_edge(u, v);
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        }
+        let mut adj: Vec<Vec<u32>> = deg
+            .iter()
+            .map(|&d| Vec::with_capacity(d as usize))
+            .collect();
+        for &(u, v) in edges {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let mut has_dup = false;
+        for row in &mut adj {
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                row.sort_unstable();
+                has_dup |= row.windows(2).any(|w| w[0] == w[1]);
+            }
+        }
+        let m = edges.len();
+        (Graph { n, m, adj }, has_dup)
+    }
+
+    /// [`Graph::assemble`], then drop repeated neighbours.
+    fn assemble_dedup(n: usize, edges: &[(u32, u32)]) -> Graph {
+        let (mut g, has_dup) = Graph::assemble(n, edges);
+        if has_dup {
+            for row in &mut g.adj {
+                row.dedup();
+            }
+            g.m = g.adj.iter().map(Vec::len).sum::<usize>() / 2;
         }
         g
     }
@@ -150,11 +204,11 @@ impl Graph {
     /// the edge set. Useful for permutation-invariance tests.
     pub fn relabeled(&self, perm: &[usize]) -> Graph {
         assert_eq!(perm.len(), self.n);
-        let mut g = Graph::new(self.n);
-        for (u, v) in self.edges() {
-            g.add_edge(perm[u], perm[v]);
-        }
-        g
+        let flat: Vec<(u32, u32)> = self
+            .edges()
+            .map(|(u, v)| checked_edge(self.n, perm[u], perm[v]))
+            .collect();
+        Graph::assemble_dedup(self.n, &flat)
     }
 
     /// Consistency check used by tests and debug assertions: sorted,
@@ -184,6 +238,13 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// `(u, v)` as neighbour ids, with [`Graph::add_edge`]'s panics.
+fn checked_edge(n: usize, u: usize, v: usize) -> (u32, u32) {
+    assert!(u < n && v < n, "edge endpoint out of range");
+    assert_ne!(u, v, "self-loops are not allowed in a simple graph");
+    (u as u32, v as u32)
 }
 
 impl fmt::Debug for Graph {

@@ -11,6 +11,32 @@
 //! endpoints in range) but forgiving about redundancy: duplicate edges and
 //! self-loops are rejected rather than silently dropped, so a round-trip
 //! through [`write_edge_list`] / [`parse_edge_list`] is exact.
+//!
+//! # How the edge list is read
+//!
+//! [`parse_edge_list`] scans `text.as_bytes()` once. A line of ASCII
+//! whitespace and two plain decimal ids (at most 19 digits), optionally
+//! followed by a `#` comment, is parsed in place. Any other line — an `n`
+//! header, a `+` sign, a longer or malformed token, a third token, a byte
+//! ≥ 0x80 (Unicode whitespace such as U+00A0 is a separator) — is re-read
+//! by the `str` token rules: `#` strips a comment, `str::trim` and
+//! `split_whitespace` split on Unicode whitespace, `str::parse` reads ids.
+//! Both paths accept exactly the same lines, so the byte scanner is an
+//! optimization, not a second grammar. Edges are staged as `(u32, u32)`
+//! pairs and handed to the graph's bulk builder, which counts degrees,
+//! fills exact-capacity rows and sorts only rows that arrive unsorted.
+//!
+//! # Error contract
+//!
+//! Errors carry the 1-based source line and quote offending tokens as
+//! written. The first line-level error wins (bad token, missing or extra
+//! token, misplaced header, self-loop, id out of the declared range).
+//! After the whole text is read (and, for DIMACS, the `p` line's missing
+//! or mismatched edge count is reported), a vertex count that does not fit `u32`
+//! (the width of [`Graph`]'s neighbour ids) is reported on the header or
+//! `p` line that declared it, or on the first edge whose endpoint needs
+//! it. Last comes the duplicate check: it reports the line of the first
+//! edge that repeats an earlier one, in either orientation.
 
 use crate::graph::Graph;
 
@@ -71,77 +97,225 @@ pub fn serialize(g: &Graph, format: Format) -> String {
     }
 }
 
+/// Largest vertex count a parsed instance may have: [`Graph`] stores
+/// neighbour ids as `u32`.
+const MAX_VERTICES: u64 = u32::MAX as u64;
+
 /// Parse the edge-list format (0-based, optional `n <N>` header, `#`
 /// comments). The vertex count is `max endpoint + 1` unless pinned higher
 /// by the header.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (line, u, v)
-    let mut max_v = 0usize;
-    let mut saw_any = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw);
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let first = it.next().unwrap();
-        if first == "n" {
-            if saw_any || n.is_some() {
-                return Err(err(lineno, "n header must be the first directive"));
+    // Sized for ~6-byte lines: longer lines over-reserve a little, the
+    // shortest ("0 1\n") grow the vector once.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(text.len() / 6);
+    let n = scan_edge_list(text, |_, u, v| edges.push((u, v)))?;
+    Graph::from_simple_edges(n, &edges).map_err(|i| {
+        let (u, v) = edges[i];
+        err(
+            nth_edge_line(i, |emit| scan_edge_list(text, emit)),
+            format!("duplicate edge {u}-{v}"),
+        )
+    })
+}
+
+/// One edge-list line, as the token rules read it.
+enum EdgeLine {
+    Blank,
+    Header(u64),
+    Edge(u64, u64),
+}
+
+/// Scan an edge list, passing every edge to `emit(line, u, v)` in order, and
+/// return the vertex count. Every line- and token-level check happens here;
+/// duplicates are left to the builder.
+fn scan_edge_list(text: &str, mut emit: impl FnMut(usize, u32, u32)) -> Result<usize, ParseError> {
+    let bytes = text.as_bytes();
+    let mut n: Option<(u64, usize)> = None; // (count, header line)
+    let mut saw_edge = false;
+    let mut max_v = 0u64;
+    // First edge whose endpoint needs a vertex count above MAX_VERTICES.
+    let mut oversize: Option<(usize, u64)> = None;
+    let mut pos = 0usize;
+    let mut lineno = 0usize;
+    while pos < bytes.len() {
+        lineno += 1;
+        let start = pos;
+        let line = match scan_edge_line_fast(bytes, &mut pos) {
+            Some(line) => line,
+            None => {
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |k| start + k);
+                pos = end + 1;
+                let header_allowed = !saw_edge && n.is_none();
+                edge_line_tokens(&text[start..end], lineno, header_allowed)?
             }
-            let v = it
-                .next()
-                .ok_or_else(|| err(lineno, "n header missing count"))?;
-            if it.next().is_some() {
-                return Err(err(lineno, "trailing tokens after n header"));
-            }
-            n = Some(
-                v.parse()
-                    .map_err(|_| err(lineno, format!("bad vertex count '{v}'")))?,
-            );
-            continue;
-        }
-        saw_any = true;
-        let u: usize = first
-            .parse()
-            .map_err(|_| err(lineno, format!("bad endpoint '{first}'")))?;
-        let v_tok = it
-            .next()
-            .ok_or_else(|| err(lineno, "edge line needs two endpoints"))?;
-        let v: usize = v_tok
-            .parse()
-            .map_err(|_| err(lineno, format!("bad endpoint '{v_tok}'")))?;
-        if it.next().is_some() {
-            return Err(err(lineno, "trailing tokens after edge"));
-        }
-        if u == v {
-            return Err(err(lineno, format!("self-loop at vertex {u}")));
-        }
-        if let Some(n) = n {
-            // Header came first (enforced above), so check in place.
-            if u >= n || v >= n {
-                return Err(err(
-                    lineno,
-                    format!("endpoint {} out of range for declared n = {n}", u.max(v)),
-                ));
+        };
+        match line {
+            EdgeLine::Blank => {}
+            EdgeLine::Header(count) => n = Some((count, lineno)),
+            EdgeLine::Edge(u, v) => {
+                saw_edge = true;
+                if u == v {
+                    return Err(err(lineno, format!("self-loop at vertex {u}")));
+                }
+                let hi = u.max(v);
+                if let Some((n, _)) = n {
+                    // Header came first (enforced by the token rules).
+                    if hi >= n {
+                        return Err(err(
+                            lineno,
+                            format!("endpoint {hi} out of range for declared n = {n}"),
+                        ));
+                    }
+                }
+                max_v = max_v.max(hi);
+                if hi < MAX_VERTICES {
+                    emit(lineno, u as u32, v as u32);
+                } else if oversize.is_none() {
+                    oversize = Some((lineno, hi));
+                }
             }
         }
-        max_v = max_v.max(u).max(v);
-        edges.push((lineno, u, v));
     }
-    let n = match n {
-        Some(n) => n,
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                max_v + 1
-            }
+    // Size errors come last, so every line-level error still wins.
+    match n {
+        Some((count, line)) if count > MAX_VERTICES => Err(err(
+            line,
+            format!("vertex count {count} exceeds the u32 limit {MAX_VERTICES}"),
+        )),
+        Some((count, _)) => Ok(count as usize),
+        None => match oversize {
+            Some((line, id)) => Err(err(
+                line,
+                format!("endpoint {id} needs a vertex count above the u32 limit {MAX_VERTICES}"),
+            )),
+            None if saw_edge => Ok(max_v as usize + 1),
+            None => Ok(0),
+        },
+    }
+}
+
+/// The byte-level fast path for one line starting at `*pos`: ASCII
+/// whitespace, then either nothing or a `#` comment (blank), or two
+/// unsigned decimal ids of at most 19 digits (an edge). On success `*pos`
+/// moves past the line's `\n`. Anything else (a header, `+`, a longer or
+/// malformed token, a third token, a non-ASCII byte) returns `None` and
+/// leaves `*pos` alone, and the line goes through [`edge_line_tokens`].
+#[inline]
+fn scan_edge_line_fast(bytes: &[u8], pos: &mut usize) -> Option<EdgeLine> {
+    let mut i = *pos;
+    skip_ascii_space(bytes, &mut i);
+    let line = if i == bytes.len() || matches!(bytes[i], b'\n' | b'#') {
+        EdgeLine::Blank
+    } else {
+        let u = ascii_id(bytes, &mut i)?;
+        if !bytes.get(i).is_some_and(|&b| is_ascii_space(b)) {
+            return None;
         }
+        skip_ascii_space(bytes, &mut i);
+        let v = ascii_id(bytes, &mut i)?;
+        skip_ascii_space(bytes, &mut i);
+        if i < bytes.len() && !matches!(bytes[i], b'\n' | b'#') {
+            return None;
+        }
+        EdgeLine::Edge(u, v)
     };
-    build(n, &edges)
+    // Past the comment, if any, and the newline.
+    while i < bytes.len() && bytes[i] != b'\n' {
+        i += 1;
+    }
+    *pos = i + 1;
+    Some(line)
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts, bar `\n` (a line end).
+#[inline]
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
+#[inline]
+fn skip_ascii_space(bytes: &[u8], i: &mut usize) {
+    while *i < bytes.len() && is_ascii_space(bytes[*i]) {
+        *i += 1;
+    }
+}
+
+/// Up to 19 ASCII digits at `*i` (so the value cannot overflow `u64`).
+#[inline]
+fn ascii_id(bytes: &[u8], i: &mut usize) -> Option<u64> {
+    let start = *i;
+    let mut x = 0u64;
+    while *i < bytes.len() && bytes[*i].is_ascii_digit() {
+        x = x.wrapping_mul(10).wrapping_add((bytes[*i] - b'0') as u64);
+        *i += 1;
+    }
+    (1..=19).contains(&(*i - start)).then_some(x)
+}
+
+/// The token rules for one edge-list line: strip a `#` comment, trim and
+/// split on Unicode whitespace, and read ids with `str::parse`, so error
+/// messages quote the token as written.
+fn edge_line_tokens(
+    raw: &str,
+    lineno: usize,
+    header_allowed: bool,
+) -> Result<EdgeLine, ParseError> {
+    let line = match raw.find('#') {
+        Some(i) => raw[..i].trim(),
+        None => raw.trim(),
+    };
+    if line.is_empty() {
+        return Ok(EdgeLine::Blank);
+    }
+    let mut it = line.split_whitespace();
+    let first = it.next().unwrap();
+    if first == "n" {
+        if !header_allowed {
+            return Err(err(lineno, "n header must be the first directive"));
+        }
+        let v = it
+            .next()
+            .ok_or_else(|| err(lineno, "n header missing count"))?;
+        if it.next().is_some() {
+            return Err(err(lineno, "trailing tokens after n header"));
+        }
+        let count = v
+            .parse()
+            .map_err(|_| err(lineno, format!("bad vertex count '{v}'")))?;
+        return Ok(EdgeLine::Header(count));
+    }
+    let u = first
+        .parse()
+        .map_err(|_| err(lineno, format!("bad endpoint '{first}'")))?;
+    let v_tok = it
+        .next()
+        .ok_or_else(|| err(lineno, "edge line needs two endpoints"))?;
+    let v = v_tok
+        .parse()
+        .map_err(|_| err(lineno, format!("bad endpoint '{v_tok}'")))?;
+    if it.next().is_some() {
+        return Err(err(lineno, "trailing tokens after edge"));
+    }
+    Ok(EdgeLine::Edge(u, v))
+}
+
+/// Source line of the `i`-th emitted edge: re-runs a scan that already
+/// succeeded once (the duplicate-edge error path only).
+fn nth_edge_line(
+    i: usize,
+    scan: impl FnOnce(&mut dyn FnMut(usize, u32, u32)) -> Result<usize, ParseError>,
+) -> usize {
+    let (mut k, mut line) = (0usize, 0usize);
+    let _ = scan(&mut |l, _, _| {
+        if k == i {
+            line = l;
+        }
+        k += 1;
+    });
+    line
 }
 
 /// Parse the DIMACS `.col` format (1-based `e u v` lines).
@@ -152,10 +326,24 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
 /// `e` lines, or after them — including the glued `cComment text` form.
 /// Malformed directives still fail with the exact 1-based source line.
 pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
-    let mut n: Option<usize> = None;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let n = scan_dimacs(text, |_, u, v| edges.push((u, v)))?;
+    Graph::from_simple_edges(n, &edges).map_err(|i| {
+        let (u, v) = edges[i];
+        err(
+            nth_edge_line(i, |emit| scan_dimacs(text, emit)),
+            format!("duplicate edge {u}-{v}"),
+        )
+    })
+}
+
+/// Scan a DIMACS file, passing every edge (0-based) to `emit(line, u, v)`
+/// in order, and return the vertex count.
+fn scan_dimacs(text: &str, mut emit: impl FnMut(usize, u32, u32)) -> Result<usize, ParseError> {
+    let mut n: Option<u64> = None;
     let mut declared_m: Option<usize> = None;
     let mut p_line = 1usize;
-    let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (line, u, v)
+    let mut listed = 0usize;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -200,10 +388,10 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                 let n = n.ok_or_else(|| err(lineno, "e line before p line"))?;
                 let ut = it.next().ok_or_else(|| err(lineno, "e line missing u"))?;
                 let vt = it.next().ok_or_else(|| err(lineno, "e line missing v"))?;
-                let u: usize = ut
+                let u: u64 = ut
                     .parse()
                     .map_err(|_| err(lineno, format!("bad endpoint '{ut}'")))?;
-                let v: usize = vt
+                let v: u64 = vt
                     .parse()
                     .map_err(|_| err(lineno, format!("bad endpoint '{vt}'")))?;
                 if u == 0 || v == 0 || u > n || v > n {
@@ -218,38 +406,31 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                 if it.next().is_some() {
                     return Err(err(lineno, "trailing tokens after e line"));
                 }
-                edges.push((lineno, u - 1, v - 1));
+                listed += 1;
+                // An oversized n fails below; its edges need not be kept.
+                if n <= MAX_VERTICES {
+                    emit(lineno, (u - 1) as u32, (v - 1) as u32);
+                }
             }
             other => return Err(err(lineno, format!("unknown directive '{other}'"))),
         }
     }
     let n = n.ok_or_else(|| err(text.lines().count().max(1), "missing p line"))?;
     if let Some(m) = declared_m {
-        if m != edges.len() {
+        if m != listed {
             return Err(err(
                 p_line,
-                format!("p line declares {m} edges but {} were listed", edges.len()),
+                format!("p line declares {m} edges but {listed} were listed"),
             ));
         }
     }
-    build(n, &edges)
-}
-
-fn build(n: usize, edges: &[(usize, usize, usize)]) -> Result<Graph, ParseError> {
-    let mut g = Graph::new(n);
-    for &(line, u, v) in edges {
-        if !g.add_edge(u, v) {
-            return Err(err(line, format!("duplicate edge {u}-{v}")));
-        }
+    if n > MAX_VERTICES {
+        return Err(err(
+            p_line,
+            format!("vertex count {n} exceeds the u32 limit {MAX_VERTICES}"),
+        ));
     }
-    Ok(g)
-}
-
-fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(i) => line[..i].trim(),
-        None => line.trim(),
-    }
+    Ok(n as usize)
 }
 
 /// Serialize as the edge-list format (with `n` header, sorted edges).
@@ -331,6 +512,15 @@ mod tests {
         let range = parse_edge_list("n 2\n0 1\n0 5\n").unwrap_err();
         assert!(range.message.contains("out of range"));
         assert_eq!(range.line, 3);
+        // The first repeat is reported, in its own orientation, but a
+        // later self-loop or range error still wins over a duplicate.
+        let dup = parse_edge_list("n 4\n0 1\n# c\n1 0\n0 1\n").unwrap_err();
+        assert_eq!((dup.line, dup.message.as_str()), (4, "duplicate edge 1-0"));
+        assert!(parse_edge_list("0 1\n1 0\n2 2\n")
+            .unwrap_err()
+            .message
+            .contains("self-loop"));
+        assert_eq!(parse_edge_list("n 3\n0 1\n0 1\n0 7\n").unwrap_err().line, 4);
     }
 
     #[test]
@@ -374,6 +564,36 @@ mod tests {
         let trailing_p = parse_dimacs("p edge 3 1 extra\n").unwrap_err();
         assert_eq!(trailing_p.line, 1);
         assert!(trailing_p.message.contains("trailing tokens"));
+        let dup = parse_dimacs("p edge 3 3\nc x\ne 1 2\ne 2 3\ne 2 1\n").unwrap_err();
+        assert_eq!((dup.line, dup.message.as_str()), (5, "duplicate edge 1-0"));
+    }
+
+    #[test]
+    fn vertex_ids_beyond_u32_are_parse_errors() {
+        // Graph stores u32 neighbour ids; these used to ask for >100 GB.
+        let e = parse_edge_list("0 1\n0 4294967296\n1 2\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("u32"), "{e}");
+        // u32::MAX itself would need 2^32 vertices.
+        assert_eq!(parse_edge_list("4294967295 0\n").unwrap_err().line, 1);
+        let h = parse_edge_list("# big\nn 4294967296\n0 1\n").unwrap_err();
+        assert_eq!(h.line, 2);
+        assert!(h.message.contains("u32"), "{h}");
+        // Line-level errors later in the file still win, as before.
+        let later = parse_edge_list("0 4294967296\nx 1\n").unwrap_err();
+        assert_eq!(
+            (later.line, later.message.as_str()),
+            (2, "bad endpoint 'x'")
+        );
+        let p = parse_dimacs("c big\np edge 4294967296 1\ne 1 2\n").unwrap_err();
+        assert_eq!(p.line, 2);
+        assert!(p.message.contains("u32"), "{p}");
+        let p = parse_dimacs("p edge 18446744073709551615 0\n").unwrap_err();
+        assert_eq!(p.line, 1);
+        assert!(p.message.contains("u32"), "{p}");
+        // A largest-id endpoint under an oversized header is still checked.
+        let range = parse_dimacs("p edge 5000000000 1\ne 1 5000000001\n").unwrap_err();
+        assert!(range.message.contains("out of range"), "{range}");
     }
 
     #[test]

@@ -682,20 +682,32 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
         Ok(s) => s,
         Err(_) => return (400, vec![], error_json("body is not UTF-8", "bad-request")),
     };
-    let graph = match parse_instance(body, params.format) {
-        Ok(g) => g,
-        Err(e) => return (400, vec![], error_json(&e, "parse")),
+    // Every accepted solve runs under a live trace keyed by the request id.
+    // Parse and canonicalization are root spans beside `request`; cache
+    // hits add just the request span, fresh solves the full phase tree
+    // (the engine snapshots per-phase totals into `stats.phases`).
+    let trace = dclab_trace::Trace::enabled();
+    let _install = trace.install();
+    let graph = {
+        let _span = trace.span("instance_parse");
+        match parse_instance(body, params.format) {
+            Ok(g) => g,
+            Err(e) => return (400, vec![], error_json(&e, "parse")),
+        }
     };
     // Cluster routing: the cache key's hash is the canonical instance
     // identity (isomorphism-invariant), so all relabelings of one
     // instance route to the same owner replica.
-    let key = CacheKey::for_request(
-        &graph,
-        &params.pvec,
-        params.strategy,
-        params.budget,
-        params.oracle,
-    );
+    let key = {
+        let _span = trace.span("canon");
+        CacheKey::for_request(
+            &graph,
+            &params.pvec,
+            params.strategy,
+            params.budget,
+            params.oracle,
+        )
+    };
     let mut routed: Option<&'static str> = None;
     if let Some(cl) = &ctx.cluster {
         if req.header(cluster::FORWARDED_HEADER).is_some() {
@@ -747,12 +759,7 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
             routed = Some("local");
         }
     }
-    // Every accepted solve runs under a live trace keyed by the request id:
-    // cache hits record just the request span, fresh solves the full phase
-    // tree (the engine snapshots per-phase totals into `stats.phases`).
-    let trace = dclab_trace::Trace::enabled();
     let outcome = {
-        let _install = trace.install();
         let mut span = trace.span("request");
         let outcome = cached_solve(ctx, &key, graph, &params);
         if let Ok((report, status)) = &outcome {

@@ -470,10 +470,23 @@ fn metrics_and_debug_respond_while_workers_are_saturated() {
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(400));
+
+    // Wait until the pool reports the worker busy and the queue full (a
+    // fixed sleep raced the first solve's completion).
+    let mut client = Client::new(addr);
+    let give_up = Instant::now() + Duration::from_secs(30);
+    loop {
+        let m = client.request("GET", "/metrics", "").unwrap();
+        if m.body.contains("dclab_pool_in_flight 1\n")
+            && m.body.contains("dclab_pool_queue_depth 1\n")
+        {
+            break;
+        }
+        assert!(Instant::now() < give_up, "pool never saturated: {}", m.body);
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     // Worker busy + queue full: admin endpoints must still answer fast.
-    let mut client = Client::new(addr);
     for target in ["/healthz", "/metrics", "/debug/slowlog", "/debug/traces"] {
         let started = Instant::now();
         let resp = client.request("GET", target, "").unwrap();

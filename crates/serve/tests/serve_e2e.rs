@@ -528,7 +528,13 @@ fn request_ids_and_debug_traces() {
         .find(|p| p.get("name").and_then(|v| v.as_str()) == Some("solve"))
         .and_then(|p| p.get("total_us").and_then(|v| v.as_f64()))
         .expect("solve phase present");
-    for p in phases {
+    let names: Vec<&str> = phases
+        .iter()
+        .filter_map(|p| p.get("name").and_then(|v| v.as_str()))
+        .collect();
+    // Parse and canonicalization run before the request span, beside it.
+    assert_eq!(names[..2], ["instance_parse", "canon"], "{names:?}");
+    for p in &phases[2..] {
         let name = p.get("name").and_then(|v| v.as_str()).unwrap();
         let total = p.get("total_us").and_then(|v| v.as_f64()).unwrap();
         assert!(
@@ -576,6 +582,17 @@ fn request_ids_and_debug_traces() {
         .collect();
     assert!(span_names.contains(&"request"), "{span_names:?}");
     assert!(span_names.contains(&"solve"), "{span_names:?}");
+    for root in ["instance_parse", "canon", "request"] {
+        let span = spans
+            .iter()
+            .find(|s| s.get("name").and_then(|v| v.as_str()) == Some(root))
+            .unwrap_or_else(|| panic!("{root} span missing: {span_names:?}"));
+        assert_eq!(
+            span.get("parent").and_then(|v| v.as_f64()),
+            Some(0.0),
+            "{root}"
+        );
+    }
 
     // Unknown ids 404; wrong method on the debug surface is 405.
     let missing = client
@@ -617,6 +634,15 @@ fn request_ids_and_debug_traces() {
     assert!(metrics
         .body
         .contains("dclab_phase_seconds_count{phase=\"features\"}"));
+    for phase in ["instance_parse", "canon"] {
+        assert!(
+            metrics
+                .body
+                .contains(&format!("dclab_phase_seconds_count{{phase=\"{phase}\"}}")),
+            "{}",
+            metrics.body
+        );
+    }
     stop(handle, client);
 }
 

@@ -49,6 +49,8 @@ pub use flight::FlightRecorder;
 /// metric set stays bounded; spans with other names still appear in traces
 /// and `stats.phases`, they just don't get a histogram.
 pub const PHASES: &[&str] = &[
+    "instance_parse",
+    "canon",
     "request",
     "solve",
     "features",

@@ -348,3 +348,589 @@ fn diameter_matches_matrix_on_bound_stressing_shapes() {
         }
     }
 }
+
+/// Reference copies of the edge-list and DIMACS parsers as they were
+/// before the byte-level scanner and the bulk adjacency builder: per-line
+/// `str` tokens and one `Graph::add_edge` per edge.
+mod reference_io {
+    use dclab::graph::io::ParseError;
+    use dclab::graph::Graph;
+
+    fn err(line: usize, message: impl Into<String>) -> ParseError {
+        ParseError {
+            line,
+            message: message.into(),
+        }
+    }
+
+    pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
+        let mut n: Option<usize> = None;
+        let mut edges: Vec<(usize, usize, usize)> = Vec::new();
+        let mut max_v = 0usize;
+        let mut saw_any = false;
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = match raw.find('#') {
+                Some(i) => raw[..i].trim(),
+                None => raw.trim(),
+            };
+            if line.is_empty() {
+                continue;
+            }
+            let mut it = line.split_whitespace();
+            let first = it.next().unwrap();
+            if first == "n" {
+                if saw_any || n.is_some() {
+                    return Err(err(lineno, "n header must be the first directive"));
+                }
+                let v = it
+                    .next()
+                    .ok_or_else(|| err(lineno, "n header missing count"))?;
+                if it.next().is_some() {
+                    return Err(err(lineno, "trailing tokens after n header"));
+                }
+                n = Some(
+                    v.parse()
+                        .map_err(|_| err(lineno, format!("bad vertex count '{v}'")))?,
+                );
+                continue;
+            }
+            saw_any = true;
+            let u: usize = first
+                .parse()
+                .map_err(|_| err(lineno, format!("bad endpoint '{first}'")))?;
+            let v_tok = it
+                .next()
+                .ok_or_else(|| err(lineno, "edge line needs two endpoints"))?;
+            let v: usize = v_tok
+                .parse()
+                .map_err(|_| err(lineno, format!("bad endpoint '{v_tok}'")))?;
+            if it.next().is_some() {
+                return Err(err(lineno, "trailing tokens after edge"));
+            }
+            if u == v {
+                return Err(err(lineno, format!("self-loop at vertex {u}")));
+            }
+            if let Some(n) = n {
+                if u >= n || v >= n {
+                    return Err(err(
+                        lineno,
+                        format!("endpoint {} out of range for declared n = {n}", u.max(v)),
+                    ));
+                }
+            }
+            max_v = max_v.max(u).max(v);
+            edges.push((lineno, u, v));
+        }
+        let n = match n {
+            Some(n) => n,
+            None if edges.is_empty() => 0,
+            None => max_v + 1,
+        };
+        build(n, &edges)
+    }
+
+    pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
+        let mut n: Option<usize> = None;
+        let mut declared_m: Option<usize> = None;
+        let mut p_line = 1usize;
+        let mut edges: Vec<(usize, usize, usize)> = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('c') {
+                continue;
+            }
+            let mut it = line.split_whitespace();
+            match it.next().unwrap() {
+                "p" => {
+                    if n.is_some() {
+                        return Err(err(lineno, "duplicate p line"));
+                    }
+                    match it.next() {
+                        Some("edge") | Some("edges") | Some("col") => {}
+                        other => {
+                            return Err(err(
+                                lineno,
+                                format!("expected 'p edge', got 'p {}'", other.unwrap_or("")),
+                            ))
+                        }
+                    }
+                    let nv = it.next().ok_or_else(|| err(lineno, "p line missing n"))?;
+                    let nm = it.next().ok_or_else(|| err(lineno, "p line missing m"))?;
+                    n = Some(
+                        nv.parse()
+                            .map_err(|_| err(lineno, format!("bad n '{nv}'")))?,
+                    );
+                    declared_m = Some(
+                        nm.parse()
+                            .map_err(|_| err(lineno, format!("bad m '{nm}'")))?,
+                    );
+                    if it.next().is_some() {
+                        return Err(err(lineno, "trailing tokens after p line"));
+                    }
+                    p_line = lineno;
+                }
+                "e" => {
+                    let n = n.ok_or_else(|| err(lineno, "e line before p line"))?;
+                    let ut = it.next().ok_or_else(|| err(lineno, "e line missing u"))?;
+                    let vt = it.next().ok_or_else(|| err(lineno, "e line missing v"))?;
+                    let u: usize = ut
+                        .parse()
+                        .map_err(|_| err(lineno, format!("bad endpoint '{ut}'")))?;
+                    let v: usize = vt
+                        .parse()
+                        .map_err(|_| err(lineno, format!("bad endpoint '{vt}'")))?;
+                    if u == 0 || v == 0 || u > n || v > n {
+                        return Err(err(
+                            lineno,
+                            format!("endpoint out of range 1..={n}: e {u} {v}"),
+                        ));
+                    }
+                    if u == v {
+                        return Err(err(lineno, format!("self-loop at vertex {u}")));
+                    }
+                    if it.next().is_some() {
+                        return Err(err(lineno, "trailing tokens after e line"));
+                    }
+                    edges.push((lineno, u - 1, v - 1));
+                }
+                other => return Err(err(lineno, format!("unknown directive '{other}'"))),
+            }
+        }
+        let n = n.ok_or_else(|| err(text.lines().count().max(1), "missing p line"))?;
+        if let Some(m) = declared_m {
+            if m != edges.len() {
+                return Err(err(
+                    p_line,
+                    format!("p line declares {m} edges but {} were listed", edges.len()),
+                ));
+            }
+        }
+        build(n, &edges)
+    }
+
+    fn build(n: usize, edges: &[(usize, usize, usize)]) -> Result<Graph, ParseError> {
+        let mut g = Graph::new(n);
+        for &(line, u, v) in edges {
+            if !g.add_edge(u, v) {
+                return Err(err(line, format!("duplicate edge {u}-{v}")));
+            }
+        }
+        Ok(g)
+    }
+}
+
+/// Reference copy of `CanonicalForm::of` as it was before sort-free
+/// refinement and linear pair lists: per-vertex signature vectors sorted
+/// every round, and comparison-sorted pair and edge lists.
+mod reference_canon {
+    use dclab::graph::canon::Fnv64;
+    use dclab::graph::Graph;
+
+    /// `(hash, perm, edges, n)`.
+    pub fn of(g: &Graph) -> (u64, Vec<u32>, Vec<(u32, u32)>, usize) {
+        let colors = refine_to_stable(g, None);
+        let hash = invariant_hash(g, &colors);
+        let perm = canonical_perm(g, colors);
+        let mut edges: Vec<(u32, u32)> = g
+            .edges()
+            .map(|(u, v)| {
+                let (a, b) = (perm[u], perm[v]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        edges.sort_unstable();
+        (hash, perm, edges, g.n())
+    }
+
+    fn refine_round(g: &Graph, colors: &[u32]) -> (Vec<u32>, usize) {
+        let n = g.n();
+        let mut sigs: Vec<(Vec<u32>, usize)> = Vec::with_capacity(n);
+        for v in 0..n {
+            let mut sig = Vec::with_capacity(1 + g.degree(v));
+            sig.push(colors[v]);
+            let mut nbr: Vec<u32> = g.neighbors(v).iter().map(|&u| colors[u as usize]).collect();
+            nbr.sort_unstable();
+            sig.extend(nbr);
+            sigs.push((sig, v));
+        }
+        sigs.sort();
+        let mut new_colors = vec![0u32; n];
+        let mut next = 0u32;
+        for i in 0..n {
+            if i > 0 && sigs[i].0 != sigs[i - 1].0 {
+                next += 1;
+            }
+            new_colors[sigs[i].1] = next;
+        }
+        (new_colors, next as usize + 1)
+    }
+
+    fn refine_to_stable(g: &Graph, start: Option<Vec<u32>>) -> Vec<u32> {
+        let n = g.n();
+        let mut colors = start.unwrap_or_else(|| vec![0u32; n]);
+        let mut distinct = colors
+            .iter()
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        loop {
+            let (next, next_distinct) = refine_round(g, &colors);
+            if next_distinct == distinct {
+                return next;
+            }
+            colors = next;
+            distinct = next_distinct;
+            if distinct == n {
+                return colors;
+            }
+        }
+    }
+
+    fn invariant_hash(g: &Graph, colors: &[u32]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(g.n() as u64);
+        h.write_u64(g.m() as u64);
+        let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
+        let mut histogram = vec![0u64; distinct];
+        for &c in colors {
+            histogram[c as usize] += 1;
+        }
+        for (c, count) in histogram.iter().enumerate() {
+            h.write_u64(c as u64);
+            h.write_u64(*count);
+        }
+        let mut edge_pairs: Vec<(u32, u32)> = g
+            .edges()
+            .map(|(u, v)| {
+                let (a, b) = (colors[u], colors[v]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        edge_pairs.sort_unstable();
+        for (a, b) in edge_pairs {
+            h.write_u64(((a as u64) << 32) | b as u64);
+        }
+        h.finish()
+    }
+
+    fn canonical_perm(g: &Graph, mut colors: Vec<u32>) -> Vec<u32> {
+        let n = g.n();
+        loop {
+            let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
+            if distinct == n {
+                break;
+            }
+            let mut class_size = vec![0u32; distinct];
+            for &c in &colors {
+                class_size[c as usize] += 1;
+            }
+            let target = class_size.iter().position(|&s| s >= 2).unwrap() as u32;
+            let chosen = (0..n).find(|&v| colors[v] == target).unwrap();
+            let mut seeded: Vec<u32> = colors.iter().map(|&c| 2 * c + 1).collect();
+            seeded[chosen] = 2 * target;
+            colors = refine_to_stable(g, Some(seeded));
+        }
+        colors
+    }
+}
+
+/// Lines of a written body, mutated in the ways real files and hostile
+/// clients vary: whitespace and line-end variants, signs and padding,
+/// comments, misplaced headers, self-loops, duplicates and range errors.
+/// Every id stays below 2^32 or overflows `u64`, so the reference parsers
+/// (which allocate `max id + 1` vertices) stay runnable.
+fn mutate_lines(rng: &mut StdRng, lines: &mut Vec<String>, dimacs: bool, n: usize) {
+    use rand::RngExt;
+    let pick = |rng: &mut StdRng, len: usize| rng.random_range(0..len.max(1));
+    let edge_tag = if dimacs { "e " } else { "" };
+    for _ in 0..rng.random_range(1usize..4) {
+        let at = pick(rng, lines.len());
+        let extra = |u: usize, v: usize| format!("{edge_tag}{u} {v}");
+        let token_edit = |rng: &mut StdRng, line: &str, f: &dyn Fn(&str) -> String| {
+            let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+            let k = rng.random_range(0..toks.len());
+            if toks[k].chars().all(|c| c.is_ascii_digit()) && !toks[k].is_empty() {
+                toks[k] = f(&toks[k]);
+            }
+            toks.join(" ")
+        };
+        match rng.random_range(0u32..24) {
+            0 => {
+                for l in lines.iter_mut() {
+                    l.push('\r');
+                }
+            }
+            1 if !lines.is_empty() => lines[at] = lines[at].replace(' ', "\t"),
+            2 if !lines.is_empty() => lines[at] = lines[at].replacen(' ', "\x0b", 1),
+            3 if !lines.is_empty() => lines[at] = format!("\x0c{}\x0c", lines[at]),
+            4 if !lines.is_empty() => lines[at] = lines[at].replacen(' ', "\u{a0}", 1),
+            5 if !lines.is_empty() => lines[at] = format!("\u{3000}{}\u{3000}", lines[at]),
+            6 if !lines.is_empty() => {
+                lines[at] = token_edit(rng, &lines[at].clone(), &|t| format!("+{t}"))
+            }
+            7 if !lines.is_empty() => {
+                lines[at] = token_edit(rng, &lines[at].clone(), &|t| format!("000{t}"))
+            }
+            8 if !lines.is_empty() => {
+                lines[at] = token_edit(rng, &lines[at].clone(), &|_| "99999999999999999999".into())
+            }
+            9 if !lines.is_empty() => {
+                lines[at] = token_edit(rng, &lines[at].clone(), &|t| format!("{t:0>20}"))
+            }
+            10 => lines.insert(
+                at,
+                if dimacs { "c a comment" } else { "# a comment" }.into(),
+            ),
+            11 if !lines.is_empty() => {
+                let c = if dimacs {
+                    "\tc trailing"
+                } else {
+                    "# trailing é"
+                };
+                lines[at].push_str(c);
+            }
+            12 => lines.insert(at, format!("n {}", n + 3)),
+            13 => lines.insert(
+                at,
+                ["n", "n 4 5", "n x", "n +2", "n -1"][pick(rng, 5)].into(),
+            ),
+            14 => lines.insert(at, extra(at % n.max(1), at % n.max(1))),
+            15 | 16 if lines.len() > 1 => {
+                // Repeat an earlier edge line (maybe reversed) later on.
+                let src = pick(rng, lines.len());
+                let toks: Vec<&str> = lines[src].split_whitespace().collect();
+                let dup = match toks.as_slice() {
+                    [u, v] if !dimacs => format!("{v} {u}"),
+                    ["e", u, v] if dimacs => format!("e {v} {u}"),
+                    _ => lines[src].clone(),
+                };
+                let to = src + 1 + pick(rng, lines.len() - src);
+                lines.insert(to.min(lines.len()), dup);
+            }
+            17 => lines.insert(at, extra(n + 2, 0)),
+            18 => lines.insert(at, extra(0, if dimacs { 0 } else { n })),
+            19 => {
+                // Malformed tokens; U+001C and NUL are not whitespace, NEL is.
+                let bad = [
+                    "x 1",
+                    "1.5 2",
+                    "-1 2",
+                    "+ 2",
+                    "5",
+                    "1 2 3",
+                    "é 1",
+                    "2\u{1c}1",
+                    "1\u{0}2",
+                    "\u{85}1 2",
+                ];
+                lines.insert(at, bad[pick(rng, bad.len())].into())
+            }
+            20 => lines.insert(at, String::new()),
+            21 => lines.insert(at, " \t ".into()),
+            22 if dimacs => lines.insert(
+                at,
+                ["p edge 3 0", "q", "e 1", "cglued", "p col 2 1"][pick(rng, 5)].into(),
+            ),
+            23 if !lines.is_empty() => {
+                lines.remove(at);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The byte-level edge-list scanner and the bulk builder return exactly
+/// the reference parsers' `Result` — the same graph, or the same error
+/// line and message — on a seeded mutation corpus of written bodies.
+#[test]
+fn parsers_match_reference_on_mutated_bodies() {
+    use dclab::graph::generators::random;
+    use dclab::graph::io;
+
+    let mut rng = StdRng::seed_from_u64(0x5EED10);
+    let mut checked = (0usize, 0usize);
+    for case in 0..600 {
+        let n = [0usize, 1, 2, 5, 12, 30][case % 6];
+        let p = [0.2, 0.5, 0.9][case % 3];
+        let g = random::gnp(&mut rng, n, p);
+        let dimacs = case % 4 == 3;
+        let body = if dimacs {
+            io::write_dimacs(&g)
+        } else {
+            io::write_edge_list(&g)
+        };
+        let mut lines: Vec<String> = body.lines().map(String::from).collect();
+        if !dimacs && case % 2 == 0 {
+            lines.remove(0); // header-less: n is inferred
+        }
+        if case >= 12 {
+            mutate_lines(&mut rng, &mut lines, dimacs, n);
+        }
+        let mut text = lines.join("\n");
+        if case % 5 != 0 {
+            text.push('\n');
+        }
+        let (got, want) = if dimacs {
+            (io::parse_dimacs(&text), reference_io::parse_dimacs(&text))
+        } else {
+            (
+                io::parse_edge_list(&text),
+                reference_io::parse_edge_list(&text),
+            )
+        };
+        assert_eq!(got, want, "case {case}: {text:?}");
+        if let Ok(g) = &got {
+            g.validate().unwrap();
+        }
+        if got.is_ok() {
+            checked.0 += 1;
+        } else {
+            checked.1 += 1;
+        }
+    }
+    // The corpus must exercise both outcomes in earnest.
+    assert!(checked.0 >= 100 && checked.1 >= 100, "{checked:?}");
+}
+
+/// Sort-free refinement and linear pair lists give exactly the reference
+/// `(hash, perm, edges, n)`: G(n, p) over densities, relabelings, regular
+/// and symmetric families (individualization), disconnected and tiny
+/// graphs.
+#[test]
+fn canonical_form_matches_reference() {
+    use dclab::graph::generators::{classic, random};
+    use dclab::graph::ops::disjoint_union;
+    use dclab::graph::CanonicalForm;
+
+    let mut rng = StdRng::seed_from_u64(0xCA404);
+    let mut cases: Vec<(String, Graph)> = vec![
+        ("n=0".into(), Graph::new(0)),
+        ("n=1".into(), Graph::new(1)),
+        ("n=2".into(), Graph::new(2)),
+        ("n=2 edge".into(), classic::path(2)),
+        ("petersen".into(), classic::petersen()),
+        ("C40".into(), classic::cycle(40)),
+        ("K9".into(), classic::complete(9)),
+        ("K30".into(), classic::complete(30)),
+        ("K9,13".into(), classic::complete_bipartite(9, 13)),
+        ("grid 7x9".into(), classic::grid(7, 9)),
+        ("grid 4x4".into(), classic::grid(4, 4)),
+        ("wheel 11".into(), classic::wheel(11)),
+        ("star 9".into(), classic::star(9)),
+        (
+            "C5 + C5 + K4".into(),
+            disjoint_union(
+                &disjoint_union(&classic::cycle(5), &classic::cycle(5)),
+                &classic::complete(4),
+            ),
+        ),
+        (
+            "petersen + isolated".into(),
+            disjoint_union(&classic::petersen(), &Graph::new(3)),
+        ),
+    ];
+    for n in [3usize, 8, 17, 40, 90] {
+        for p in [0.05, 0.2, 0.5, 0.8, 0.97] {
+            cases.push((format!("gnp({n},{p})"), random::gnp(&mut rng, n, p)));
+        }
+    }
+    for (name, g) in cases.clone() {
+        for r in 0..2 {
+            let perm = random::random_permutation(&mut rng, g.n());
+            cases.push((format!("{name} relabeling {r}"), g.relabeled(&perm)));
+        }
+    }
+    for (name, g) in &cases {
+        let c = CanonicalForm::of(g);
+        let (hash, perm, edges, n) = reference_canon::of(g);
+        assert_eq!(
+            (c.hash, &c.perm, &c.edges, c.n),
+            (hash, &perm, &edges, n),
+            "{name}"
+        );
+        assert_eq!(dclab::graph::canon_hash(g), hash, "{name}");
+    }
+}
+
+/// Seeded corpus behind `tests/golden/canon_keys.txt`: one line per graph,
+/// `<name> <canonical hash, 16 hex digits> <StoreKey::encode bytes, hex>`.
+fn golden_canon_lines() -> String {
+    use dclab::engine::{Budget, OraclePolicy, Strategy};
+    use dclab::graph::generators::{classic, random};
+    use dclab::graph::CanonicalForm;
+    use dclab::store::StoreKey;
+    use std::fmt::Write as _;
+
+    let mut corpus: Vec<(String, Graph)> = vec![
+        ("empty0".into(), Graph::new(0)),
+        ("single1".into(), Graph::new(1)),
+        ("isolated2".into(), Graph::new(2)),
+        ("edge2".into(), Graph::from_edges(2, &[(0, 1)])),
+        ("petersen".into(), classic::petersen()),
+        ("cycle9".into(), classic::cycle(9)),
+        ("path7".into(), classic::path(7)),
+        ("star7".into(), classic::star(7)),
+        ("wheel8".into(), classic::wheel(8)),
+        ("complete6".into(), classic::complete(6)),
+        ("k3_4".into(), classic::complete_bipartite(3, 4)),
+        (
+            "multipartite322".into(),
+            classic::complete_multipartite(&[3, 2, 2]),
+        ),
+        ("grid3x4".into(), classic::grid(3, 4)),
+        ("split4_3".into(), classic::split_graph(4, 3)),
+        ("caterpillar4_2".into(), classic::caterpillar(4, 2)),
+        (
+            "two_triangles_plus_isolated".into(),
+            Graph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        ),
+    ];
+    for (i, &(n, p)) in [
+        (8, 0.2),
+        (8, 0.5),
+        (16, 0.3),
+        (16, 0.5),
+        (16, 0.8),
+        (24, 0.5),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(1000 + i as u64);
+        let g = random::gnp(&mut rng, n, p);
+        let perm = random::random_permutation(&mut rng, n);
+        let h = g.relabeled(&perm);
+        corpus.push((format!("gnp{n}_{p}"), g));
+        corpus.push((format!("gnp{n}_{p}_relabeled"), h));
+    }
+    let mut out = String::new();
+    for (name, g) in &corpus {
+        let c = CanonicalForm::of(g);
+        let key = StoreKey {
+            n: c.n as u32,
+            edges: c.edges.clone(),
+            pvec: vec![2, 1],
+            strategy: Strategy::Heuristic,
+            budget: Budget::default(),
+            oracle: OraclePolicy::Auto,
+        };
+        let hex: String = key.encode().iter().map(|b| format!("{b:02x}")).collect();
+        writeln!(out, "{name} {:016x} {hex}", c.hash).unwrap();
+    }
+    out
+}
+
+/// Archived records are keyed by canonical edge lists and routed by the
+/// canonical hash, so a canonicalization change that moves either would
+/// orphan every archive. The golden file was written before the linear-
+/// pass rewrite of `graph::canon`.
+#[test]
+fn canonical_store_keys_match_golden() {
+    let want = include_str!("golden/canon_keys.txt");
+    let got = golden_canon_lines();
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "golden line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
