@@ -95,6 +95,22 @@ impl fmt::Display for PVec {
     }
 }
 
+/// Parses comma-separated entries, e.g. `2,1` (spaces around an entry
+/// are ignored) — the form the CLI's `--p` and the service's `?p=` take.
+impl std::str::FromStr for PVec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<PVec, String> {
+        let entries = s
+            .split(',')
+            .map(|t| t.trim().parse::<u64>())
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|e| format!("bad p-vector '{s}': {e}"))?;
+        PVec::new(entries)
+            .ok_or_else(|| format!("bad p-vector '{s}': must be non-empty and not all-zero"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,5 +147,23 @@ mod tests {
     fn scaling() {
         let p = PVec::l21().scaled(3).unwrap();
         assert_eq!(p.entries(), &[6, 3]);
+    }
+
+    #[test]
+    fn parses_comma_separated_entries() {
+        assert_eq!("2,1".parse::<PVec>(), Ok(PVec::l21()));
+        assert_eq!(" 3, 2 ,2".parse::<PVec>().unwrap().entries(), &[3, 2, 2]);
+        assert_eq!(
+            "2,x".parse::<PVec>(),
+            Err("bad p-vector '2,x': invalid digit found in string".to_string())
+        );
+        assert_eq!(
+            "".parse::<PVec>(),
+            Err("bad p-vector '': cannot parse integer from empty string".to_string())
+        );
+        assert_eq!(
+            "0,0".parse::<PVec>(),
+            Err("bad p-vector '0,0': must be non-empty and not all-zero".to_string())
+        );
     }
 }

@@ -59,6 +59,19 @@ impl Format {
     }
 }
 
+/// Accepts `edgelist`/`edge-list` and `dimacs`/`col`.
+impl std::str::FromStr for Format {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Format, String> {
+        match s {
+            "edgelist" | "edge-list" => Ok(Format::EdgeList),
+            "dimacs" | "col" => Ok(Format::Dimacs),
+            other => Err(format!("unknown format '{other}'")),
+        }
+    }
+}
+
 /// Parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -594,6 +607,23 @@ mod tests {
         // A largest-id endpoint under an oversized header is still checked.
         let range = parse_dimacs("p edge 5000000000 1\ne 1 5000000001\n").unwrap_err();
         assert!(range.message.contains("out of range"), "{range}");
+    }
+
+    #[test]
+    fn format_names_parse() {
+        for (name, want) in [
+            ("edgelist", Format::EdgeList),
+            ("edge-list", Format::EdgeList),
+            ("dimacs", Format::Dimacs),
+            ("col", Format::Dimacs),
+        ] {
+            assert_eq!(name.parse::<Format>(), Ok(want));
+        }
+        assert_eq!(
+            "graphml".parse::<Format>(),
+            Err("unknown format 'graphml'".to_string())
+        );
+        assert!("auto".parse::<Format>().is_err());
     }
 
     #[test]

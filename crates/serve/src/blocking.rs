@@ -13,7 +13,7 @@
 //! (+ queue); the reactor serves orders of magnitude more. It is also the
 //! non-Linux fallback, since the reactor's epoll surface is Linux-only.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use dclab_par::{SubmitError, WorkerPool};
 
-use crate::http::{read_request_buffered, write_response, ParseError, RecvBuffer};
+use crate::http::{read_request_buffered, ParseError, RecvBuffer};
 use crate::server::{self, ServeCtx};
 
 /// Accept loop: hand each connection to the pool, shed with `503` +
@@ -64,17 +64,16 @@ pub(crate) fn accept_loop(
                         ctx.metrics
                             .rejected_overload
                             .fetch_add(1, Ordering::Relaxed);
-                        ctx.metrics.record_status(503);
+                        let bytes = server::error_response(
+                            &ctx,
+                            503,
+                            "server overloaded",
+                            "overload",
+                            server::RETRY_AFTER,
+                            false,
+                        );
                         if let Some(mut s) = shed_stream {
-                            let body = server::error_json("server overloaded", "overload");
-                            let rid = server::generate_request_id();
-                            let _ = write_response(
-                                &mut s,
-                                503,
-                                &[("retry-after", "1"), ("x-request-id", &rid)],
-                                body.as_bytes(),
-                                false,
-                            );
+                            let _ = s.write_all(&bytes);
                         }
                     }
                     Err(SubmitError::ShuttingDown) => break,
@@ -124,30 +123,11 @@ fn handle_connection(ctx: Arc<ServeCtx>, stream: TcpStream) {
     loop {
         match read_request_buffered(&mut reader, &mut rb, ctx.max_body_bytes) {
             Ok(req) => {
-                let rid = server::request_id(&req);
-                let (status, extra, body) = server::route(&ctx, &req, &rid);
-                // Re-check shutdown *after* routing so the `/shutdown`
-                // response itself closes the connection and frees this
-                // worker for the pool drain.
-                let keep_alive = req.keep_alive() && !ctx.shutdown_requested();
-                ctx.metrics.record_status(status);
-                let mut header_refs: Vec<(&str, &str)> =
-                    extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                header_refs.push(("x-request-id", &rid));
-                if write_response(
-                    &mut write_half,
-                    status,
-                    &header_refs,
-                    body.as_bytes(),
-                    keep_alive,
-                )
-                .is_err()
-                    || !keep_alive
-                {
+                let (bytes, keep_alive) = server::answer(&ctx, &req);
+                if write_half.write_all(&bytes).is_err() || !keep_alive {
                     return;
                 }
             }
-            Err(ParseError::ConnectionClosed) => return,
             Err(ParseError::Io(e)) => {
                 // A read timeout on an *idle* keep-alive connection is the
                 // blocking path's slow-loris reap.
@@ -159,31 +139,11 @@ fn handle_connection(ctx: Arc<ServeCtx>, stream: TcpStream) {
                 }
                 return;
             }
-            Err(ParseError::Bad(reason)) => {
-                ctx.metrics.record_status(400);
-                let body = server::error_json(reason, "bad-request");
-                let rid = server::generate_request_id();
-                let _ = write_response(
-                    &mut write_half,
-                    400,
-                    &[("x-request-id", &rid)],
-                    body.as_bytes(),
-                    false,
-                );
-                return;
-            }
-            Err(ParseError::TooLarge(reason)) => {
-                let status = if reason.contains("header") { 431 } else { 413 };
-                ctx.metrics.record_status(status);
-                let body = server::error_json(reason, "too-large");
-                let rid = server::generate_request_id();
-                let _ = write_response(
-                    &mut write_half,
-                    status,
-                    &[("x-request-id", &rid)],
-                    body.as_bytes(),
-                    false,
-                );
+            Err(e) => {
+                if let Some((status, reason, kind)) = e.response() {
+                    let bytes = server::error_response(&ctx, status, reason, kind, &[], false);
+                    let _ = write_half.write_all(&bytes);
+                }
                 return;
             }
         }

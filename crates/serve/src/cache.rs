@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use dclab_core::pvec::PVec;
 use dclab_core::solver::Solution;
-use dclab_engine::{Budget, OraclePolicy, SolveReport, Strategy};
+use dclab_engine::{Budget, EngineError, OraclePolicy, SolveReport, Strategy};
 use dclab_graph::canon::{CanonicalForm, Fnv64};
 use dclab_graph::Graph;
 
@@ -181,8 +181,35 @@ struct Shard {
 /// One in-flight solve shared by concurrent identical requests.
 struct Flight {
     key: CacheKey,
-    result: Mutex<Option<Result<CanonReport, String>>>,
+    result: Mutex<Option<Result<CanonReport, SolveFailure>>>,
     done: Condvar,
+}
+
+/// A failed solve, as the cache hands it to every requester of a flight:
+/// the HTTP status and error kind travel with the message, so coalesced
+/// waiters answer exactly like the leader.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SolveFailure {
+    pub status: u16,
+    pub kind: &'static str,
+    pub message: String,
+}
+
+impl From<EngineError> for SolveFailure {
+    /// Guard refusals are the unprocessable-instance contract (HTTP 422).
+    fn from(e: EngineError) -> SolveFailure {
+        let (status, kind) = match e {
+            EngineError::Guard(_) => (422, "guard"),
+            EngineError::Reduction(_) => (422, "reduction"),
+            EngineError::Unsupported { .. } => (422, "unsupported"),
+            EngineError::Internal(_) => (500, "internal"),
+        };
+        SolveFailure {
+            status,
+            kind,
+            message: e.to_string(),
+        }
+    }
 }
 
 /// Aggregate cache counters (monotonic).
@@ -311,9 +338,9 @@ impl ReportCache {
         &self,
         key: &CacheKey,
         solve_fn: F,
-    ) -> (Result<SolveReport, String>, CacheStatus)
+    ) -> (Result<SolveReport, SolveFailure>, CacheStatus)
     where
-        F: FnOnce() -> Result<SolveReport, String>,
+        F: FnOnce() -> Result<SolveReport, SolveFailure>,
     {
         if let Some(report) = self.get(key) {
             return (Ok(report), CacheStatus::Hit);
@@ -378,7 +405,11 @@ impl ReportCache {
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_default();
-                Err(format!("solver panicked: {msg}"))
+                Err(SolveFailure {
+                    status: 500,
+                    kind: "internal",
+                    message: format!("solver panicked: {msg}"),
+                })
             });
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Ok(report) = &outcome {
@@ -539,7 +570,7 @@ mod tests {
             OraclePolicy::Auto,
         );
         let solve_fn =
-            || solve(&SolveRequest::new(g.clone(), p.clone())).map_err(|e| e.to_string());
+            || solve(&SolveRequest::new(g.clone(), p.clone())).map_err(SolveFailure::from);
         let (r1, s1) = cache.get_or_solve(&key, solve_fn);
         assert_eq!(s1, CacheStatus::Miss);
         let (r2, s2) = cache.get_or_solve(&key, || panic!("must not re-solve"));
@@ -575,7 +606,7 @@ mod tests {
                     solves.fetch_add(1, Ordering::SeqCst);
                     // Slow the leader so the others pile onto the flight.
                     std::thread::sleep(std::time::Duration::from_millis(30));
-                    solve(&SolveRequest::new(g, p)).map_err(|e| e.to_string())
+                    solve(&SolveRequest::new(g, p)).map_err(SolveFailure::from)
                 });
                 (result.unwrap().solution.span, status)
             }));
@@ -589,5 +620,50 @@ mod tests {
             1,
             "exactly one solve ran: {results:?}"
         );
+    }
+
+    #[test]
+    fn solver_panic_reaches_leader_and_waiter_then_solves_again() {
+        let cache = Arc::new(ReportCache::new(1 << 20));
+        let g = classic::cycle(7);
+        let (key, report) = key_and_report(&g, Strategy::Greedy);
+        let waiter = {
+            let (cache, key) = (Arc::clone(&cache), key.clone());
+            std::thread::spawn(move || {
+                // Wait for the leader's flight, then join it.
+                while !cache.flights.lock().unwrap().contains_key(&key.hash) {
+                    std::thread::yield_now();
+                }
+                cache.get_or_solve(&key, || panic!("a waiter must not solve"))
+            })
+        };
+        let (led, led_status) = cache.get_or_solve(&key, || {
+            // Panic only once the waiter holds the flight (map + leader +
+            // waiter).
+            let joined = || Arc::strong_count(&cache.flights.lock().unwrap()[&key.hash]) >= 3;
+            while !joined() {
+                std::thread::yield_now();
+            }
+            panic!("boom")
+        });
+        let (waited, waited_status) = waiter.join().unwrap();
+        let want = SolveFailure {
+            status: 500,
+            kind: "internal",
+            message: "solver panicked: boom".into(),
+        };
+        assert_eq!(
+            (led.unwrap_err(), led_status),
+            (want.clone(), CacheStatus::Miss)
+        );
+        assert_eq!(
+            (waited.unwrap_err(), waited_status),
+            (want, CacheStatus::Coalesced)
+        );
+        // The failed flight is gone and nothing was cached: the next
+        // identical request solves again.
+        let (again, status) = cache.get_or_solve(&key, || Ok(report.clone()));
+        assert_eq!(status, CacheStatus::Miss);
+        assert_eq!(again.unwrap().to_json(), report.to_json());
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal HTTP/1.1 on `std::net` — exactly what the solve service needs
 //! and nothing more: request parsing with bounded header/body sizes,
-//! percent-decoded query strings, keep-alive, and response writing.
+//! percent-decoded query strings, keep-alive, and response rendering.
 //!
 //! The parser is **incremental**: [`try_parse`] inspects a byte slice and
 //! either produces a complete [`Request`] plus the number of bytes it
@@ -16,7 +16,7 @@
 //! Not a general web server: no chunked transfer encoding, no multipart,
 //! no TLS. Clients that need those get a clean 4xx, not undefined behavior.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Upper bound on the request line + headers block.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -82,8 +82,23 @@ pub enum ParseError {
     Io(std::io::Error),
     /// Malformed request; the `&'static str` is a safe-to-echo reason.
     Bad(&'static str),
-    /// Head or body over the fixed limits (→ 431/413).
-    TooLarge(&'static str),
+    /// Request line + headers over [`MAX_HEAD_BYTES`] (→ 431).
+    HeadTooLarge,
+    /// Declared body over the server's cap (→ 413).
+    BodyTooLarge,
+}
+
+impl ParseError {
+    /// The error answer owed to the client, `(status, reason, kind)`, or
+    /// `None` when the connection simply ends.
+    pub fn response(&self) -> Option<(u16, &'static str, &'static str)> {
+        match *self {
+            ParseError::Bad(reason) => Some((400, reason, "bad-request")),
+            ParseError::HeadTooLarge => Some((431, "header block too large", "too-large")),
+            ParseError::BodyTooLarge => Some((413, "body too large", "too-large")),
+            ParseError::ConnectionClosed | ParseError::Io(_) => None,
+        }
+    }
 }
 
 impl From<std::io::Error> for ParseError {
@@ -202,17 +217,17 @@ pub fn try_parse(
         }
         line_start = i + 1;
         if line_start > max_head {
-            return Err(ParseError::TooLarge("header block too large"));
+            return Err(ParseError::HeadTooLarge);
         }
     }
     let Some(head_end) = head_end else {
         if data.len() > max_head {
-            return Err(ParseError::TooLarge("header block too large"));
+            return Err(ParseError::HeadTooLarge);
         }
         return Ok(None);
     };
     if head_end > max_head {
-        return Err(ParseError::TooLarge("header block too large"));
+        return Err(ParseError::HeadTooLarge);
     }
 
     let head = std::str::from_utf8(&data[..head_end])
@@ -273,7 +288,7 @@ pub fn try_parse(
     // Reject an oversized body from the Content-Length declaration alone —
     // before buffering a single body byte (→ 413, connection closes).
     if content_length > max_body {
-        return Err(ParseError::TooLarge("body too large"));
+        return Err(ParseError::BodyTooLarge);
     }
     if data.len() < head_end + content_length {
         return Ok(None);
@@ -386,7 +401,8 @@ pub fn reason(status: u16) -> &'static str {
 /// so non-JSON endpoints (Prometheus `/metrics`) can declare themselves.
 ///
 /// Both serve paths (epoll reactor and `--legacy-blocking`) emit responses
-/// through this one function, which is what pins them byte-identical.
+/// through this one function (via `server::answer` and
+/// `server::error_response`), which is what pins them byte-identical.
 pub fn render_response(
     status: u16,
     extra_headers: &[(&str, &str)],
@@ -418,18 +434,6 @@ pub fn render_response(
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
     out
-}
-
-/// Write one response (blocking). See [`render_response`].
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, extra_headers, body, keep_alive))?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -536,10 +540,7 @@ mod tests {
         // present yet, so the shed costs nothing.
         let head = b"POST /solve HTTP/1.1\r\ncontent-length: 999999\r\n\r\n";
         let r = try_parse(head, MAX_HEAD_BYTES, 1024);
-        assert!(
-            matches!(r, Err(ParseError::TooLarge("body too large"))),
-            "{r:?}"
-        );
+        assert!(matches!(r, Err(ParseError::BodyTooLarge)), "{r:?}");
     }
 
     #[test]
@@ -547,7 +548,7 @@ mod tests {
         let mut head = b"GET /x HTTP/1.1\r\n".to_vec();
         head.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 10));
         let r = parse_all(&head);
-        assert!(matches!(r, Err(ParseError::TooLarge(reason)) if reason.contains("header")));
+        assert!(matches!(r, Err(ParseError::HeadTooLarge)));
     }
 
     #[test]

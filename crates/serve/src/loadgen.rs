@@ -293,6 +293,26 @@ pub fn exact_corpus(seed: u64, instances: usize) -> Vec<CorpusItem> {
         .collect()
 }
 
+/// `part / whole`, 0 for an empty whole.
+fn rate(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// Nearest-rank `q`-quantile of latency samples (0 when there are none).
+fn percentile(samples_us: &[u64], q: f64) -> u64 {
+    if samples_us.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples_us.to_vec();
+    sorted.sort_unstable();
+    let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
+}
+
 /// Statistics from one pass over a corpus.
 #[derive(Clone, Debug, Default)]
 pub struct PassStats {
@@ -310,22 +330,11 @@ pub struct PassStats {
 
 impl PassStats {
     pub fn hit_rate(&self) -> f64 {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.hits as f64 / denom as f64
-        }
+        rate(self.hits, self.hits + self.misses)
     }
 
     pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
+        percentile(&self.latencies_us, q)
     }
 
     pub fn to_json(&self) -> String {
@@ -447,33 +456,18 @@ impl SoakStats {
     }
 
     pub fn hit_rate(&self) -> f64 {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.hits as f64 / denom as f64
-        }
+        rate(self.hits, self.hits + self.misses)
     }
 
     /// Fraction of routed responses answered by the replica the client
     /// happened to dial (cluster mode). ~1/replicas under uniform load.
     pub fn routing_local_rate(&self) -> f64 {
-        let denom = self.routed_local + self.routed_forwarded + self.routed_fallback;
-        if denom == 0 {
-            0.0
-        } else {
-            self.routed_local as f64 / denom as f64
-        }
+        let routed = self.routed_local + self.routed_forwarded + self.routed_fallback;
+        rate(self.routed_local, routed)
     }
 
     pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
+        percentile(&self.latencies_us, q)
     }
 
     pub fn to_json(&self) -> String {

@@ -3,11 +3,19 @@
 //! `text/plain; version=0.0.4`) or deterministic JSON
 //! (`GET /metrics?format=json`).
 //!
+//! Every family is declared once, as one row of `ROWS`: its name, kind,
+//! HELP text, optional label, place in the JSON body and value source.
+//! Both renderers walk that table, so to add a metric, add one row (plus
+//! the atomic it reads, when it is a new one). The recording side is
+//! untouched by rendering: handlers bump the `pub` atomics directly.
+//!
 //! Every family gets a `# HELP` line and label values pass through
 //! [`escape_label`] (backslash, double-quote, newline), so the output obeys
 //! the text-format grammar even if a label value ever carries hostile bytes
 //! — asserted by a parser test that walks the full exposition line by line.
+//! Both formats are pinned byte for byte by the `golden_metrics` test.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -69,20 +77,16 @@ impl GapHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Prometheus histogram family with the fixed gap boundaries.
-    pub fn to_prometheus(&self, name: &str, help: &str) -> String {
-        let mut out = format!("# HELP {name} {help}\n# TYPE {name} histogram\n");
+    /// Prometheus sample lines with the fixed gap boundaries (every
+    /// boundary renders, empty or not). `labels` is empty or `key="value"`.
+    pub fn prometheus_samples(&self, name: &str, labels: &str) -> String {
         let mut cumulative = 0u64;
-        for (i, le) in GAP_BUCKETS.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        }
-        let count = self.count();
+        let buckets = GAP_BUCKETS.iter().zip(&self.buckets).map(|(&le, b)| {
+            cumulative += b.load(Ordering::Relaxed);
+            (le, cumulative)
+        });
         let sum = self.sum_millionths.load(Ordering::Relaxed) as f64 / 1e6;
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {count}\n"));
-        out.push_str(&format!("{name}_sum {sum}\n"));
-        out.push_str(&format!("{name}_count {count}\n"));
-        out
+        histogram_samples(name, labels, buckets, self.count(), sum)
     }
 
     pub fn to_json(&self) -> String {
@@ -119,6 +123,39 @@ pub fn escape_label(value: &str) -> String {
             c => out.push(c),
         }
     }
+    out
+}
+
+/// `name`, or `name{labels}` when `labels` is non-empty.
+fn series(name: &str, labels: &str) -> String {
+    if labels.is_empty() {
+        name.to_string()
+    } else {
+        format!("{name}{{{labels}}}")
+    }
+}
+
+/// The sample lines of one histogram series: the cumulative `(le, count)`
+/// buckets given, then `+Inf`, `_sum` and `_count`. `labels` is empty or
+/// `key="value"` and composes with `le`.
+fn histogram_samples(
+    name: &str,
+    labels: &str,
+    buckets: impl Iterator<Item = (f64, u64)>,
+    count: u64,
+    sum: f64,
+) -> String {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut out = String::new();
+    for (le, cumulative) in buckets {
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+        );
+    }
+    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{} {sum}", series(&format!("{name}_sum"), labels));
+    let _ = writeln!(out, "{} {count}", series(&format!("{name}_count"), labels));
     out
 }
 
@@ -167,47 +204,23 @@ impl LatencyHistogram {
         u64::MAX
     }
 
-    /// Prometheus histogram family (`# HELP` + `# TYPE` header, then
-    /// `*_bucket{le=…}` cumulative counts in seconds, `*_sum`, `*_count`)
-    /// for a metric named `name`.
-    pub fn to_prometheus(&self, name: &str, help: &str) -> String {
-        let mut out = format!("# HELP {name} {help}\n# TYPE {name} histogram\n");
-        out.push_str(&self.prometheus_samples(name, ""));
-        out
-    }
-
-    /// The sample lines of one histogram series without the family header,
-    /// so several labeled series (e.g. `phase="apsp"`) can share one
-    /// `# TYPE` declaration. `labels` is either empty or `key="value",` —
-    /// trailing comma included — and composes with `le`.
+    /// Prometheus sample lines (`*_bucket{le=…}` cumulative counts in
+    /// seconds, `*_sum`, `*_count`) without the family header, so several
+    /// labelled series (e.g. `phase="apsp"`) can share one `# TYPE`
+    /// declaration. `labels` is empty or `key="value"`. Empty buckets are
+    /// left out.
     pub fn prometheus_samples(&self, name: &str, labels: &str) -> String {
-        let mut out = String::new();
         let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let count = bucket.load(Ordering::Relaxed);
+        let buckets = self.buckets.iter().enumerate().filter_map(|(i, b)| {
+            let count = b.load(Ordering::Relaxed);
             cumulative += count;
             // The last bucket is open-ended: its samples belong to +Inf
             // only — a finite `le` would claim slow solves finished early.
-            if count == 0 || i + 1 == LATENCY_BUCKETS {
-                continue;
-            }
-            let le_seconds = (1u64 << (i + 1)) as f64 / 1e6;
-            out.push_str(&format!(
-                "{name}_bucket{{{labels}le=\"{le_seconds}\"}} {cumulative}\n"
-            ));
-        }
-        let count = self.count();
+            (count > 0 && i + 1 < LATENCY_BUCKETS)
+                .then(|| ((1u64 << (i + 1)) as f64 / 1e6, cumulative))
+        });
         let sum = self.sum_us.load(Ordering::Relaxed) as f64 / 1e6;
-        out.push_str(&format!("{name}_bucket{{{labels}le=\"+Inf\"}} {count}\n"));
-        let bare = labels.trim_end_matches(',');
-        if bare.is_empty() {
-            out.push_str(&format!("{name}_sum {sum}\n"));
-            out.push_str(&format!("{name}_count {count}\n"));
-        } else {
-            out.push_str(&format!("{name}_sum{{{bare}}} {sum}\n"));
-            out.push_str(&format!("{name}_count{{{bare}}} {count}\n"));
-        }
-        out
+        histogram_samples(name, labels, buckets, self.count(), sum)
     }
 
     pub fn to_json(&self) -> String {
@@ -417,440 +430,353 @@ impl Metrics {
     }
 
     /// The `/metrics` body in Prometheus text exposition format 0.0.4
-    /// (served with `content-type: text/plain; version=0.0.4`).
-    /// `store` is `None` when the server runs without a persistent archive
-    /// (the store counters still render, pinned at zero, so dashboards
-    /// need not special-case the flag).
+    /// (served with `content-type: text/plain; version=0.0.4`): each row
+    /// of `ROWS` as one family. `store` is `None` when the server runs
+    /// without a persistent archive (the store counters still render,
+    /// pinned at zero, so dashboards need not special-case the flag).
     pub fn to_prometheus(&self, cache: CacheCounters, store: Option<StoreGauges>) -> String {
-        let counter = |name: &str, help: &str, value: u64| {
-            format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n")
-        };
-        let gauge = |name: &str, help: &str, value: u64| {
-            format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n")
-        };
-        let family = |name: &str, help: &str, kind: &str| {
-            format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")
-        };
+        let scrape = Scrape::new(self, cache, store);
         let mut out = String::new();
-        out.push_str(&counter(
-            "dclab_requests_total",
-            "Requests answered, over all endpoints and error paths.",
-            self.requests_total.load(Ordering::Relaxed),
-        ));
-        out.push_str(&family(
-            "dclab_endpoint_requests_total",
-            "Requests routed, by endpoint.",
-            "counter",
-        ));
-        for (name, v) in [
-            ("solve", &self.solve_requests),
-            ("batch", &self.batch_requests),
-            ("health", &self.health_requests),
-            ("metrics", &self.metrics_requests),
-        ] {
-            out.push_str(&format!(
-                "dclab_endpoint_requests_total{{endpoint=\"{}\"}} {}\n",
-                escape_label(name),
-                v.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&family(
-            "dclab_responses_total",
-            "Responses sent, by status class.",
-            "counter",
-        ));
-        for (class, v) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            out.push_str(&format!(
-                "dclab_responses_total{{class=\"{}\"}} {}\n",
-                escape_label(class),
-                v.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&counter(
-            "dclab_rejected_overload_total",
-            "Requests shed with 503 because the worker queue was full.",
-            self.rejected_overload.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_rejected_conn_budget_total",
-            "Connections shed with 503 at the connection budget (--max-conns).",
-            self.rejected_conn_budget.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_conns_accepted_total",
-            "Connections accepted.",
-            self.conns_accepted.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_conns_open",
-            "Currently open connections.",
-            self.conns_open.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_conns_reaped_total",
-            "Connections reaped by the idle deadline (--conn-idle-ms).",
-            self.conns_reaped.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_pool_queue_depth",
-            "Jobs waiting in the worker-pool queue.",
-            self.pool_queue_depth.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_pool_in_flight",
-            "Jobs currently executing on pool workers.",
-            self.pool_in_flight.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_pool_workers",
-            "Worker threads in the solve pool.",
-            self.pool_workers.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_cluster_enabled",
-            "1 when serving as a member of a --cluster replica set.",
-            self.cluster_enabled.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_cluster_replicas",
-            "Replica-set size (including this node).",
-            self.cluster_replicas.load(Ordering::Relaxed),
-        ));
-        out.push_str(&family(
-            "dclab_cluster_requests_total",
-            "Cluster-routed solve requests, by route taken.",
-            "counter",
-        ));
-        for (route, v) in [
-            ("local", &self.cluster_local),
-            ("forwarded", &self.cluster_forwarded),
-            ("received", &self.cluster_received),
-            ("fallback", &self.cluster_fallback),
-        ] {
-            out.push_str(&format!(
-                "dclab_cluster_requests_total{{route=\"{}\"}} {}\n",
-                escape_label(route),
-                v.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&counter(
-            "dclab_cache_hits_total",
-            "Report-cache hits.",
-            cache.hits,
-        ));
-        out.push_str(&counter(
-            "dclab_cache_misses_total",
-            "Report-cache misses (fresh solves).",
-            cache.misses,
-        ));
-        out.push_str(&counter(
-            "dclab_cache_coalesced_total",
-            "Requests that joined an identical in-flight solve.",
-            cache.coalesced,
-        ));
-        out.push_str(&counter(
-            "dclab_cache_evictions_total",
-            "Cache entries evicted under the memory budget.",
-            cache.evictions,
-        ));
-        out.push_str(&gauge(
-            "dclab_cache_entries",
-            "Live report-cache entries.",
-            cache.entries,
-        ));
-        out.push_str(&gauge(
-            "dclab_cache_bytes",
-            "Approximate report-cache bytes.",
-            cache.bytes,
-        ));
-        out.push_str(&gauge(
-            "dclab_store_enabled",
-            "1 when a persistent solution archive is attached.",
-            store.is_some() as u64,
-        ));
-        out.push_str(&counter(
-            "dclab_store_hits_total",
-            "LRU misses answered from the persistent archive.",
-            self.store_hits.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_store_misses_total",
-            "Archive lookups that fell through to a fresh solve.",
-            self.store_misses.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_store_appends_total",
-            "Fresh solves write-behind-appended to the archive.",
-            self.store_appends.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_store_flushes_total",
-            "Archive fsyncs (shutdown drain, explicit flushes).",
-            self.store_flushes.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_store_warm_boot_entries",
-            "Entries loaded from the archive into the cache at start.",
-            self.store_warm_boot.load(Ordering::Relaxed),
-        ));
-        let gauges = store.unwrap_or_default();
-        out.push_str(&gauge(
-            "dclab_store_entries",
-            "Live records in the persistent archive.",
-            gauges.entries,
-        ));
-        out.push_str(&gauge(
-            "dclab_store_bytes",
-            "Bytes of live archive log data.",
-            gauges.bytes,
-        ));
-        out.push_str(&gauge(
-            "dclab_store_generation",
-            "Archive compaction generation stamp.",
-            gauges.generation,
-        ));
-        out.push_str(&family(
-            "dclab_solves_total",
-            "Fresh solves completed, by concrete strategy.",
-            "counter",
-        ));
-        for (s, count) in Strategy::CONCRETE.iter().zip(self.per_strategy.iter()) {
-            out.push_str(&format!(
-                "dclab_solves_total{{strategy=\"{}\"}} {}\n",
-                escape_label(s.name()),
-                count.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&counter(
-            "dclab_solve_timeouts_total",
-            "Fresh solves whose deadline fired before an optimality proof.",
-            self.solve_timeouts.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_slow_solves_total",
-            "Solves slow enough to be written to the slow-solve log.",
-            self.slow_solves.load(Ordering::Relaxed),
-        ));
-        out.push_str(&family(
-            "dclab_race_wins_total",
-            "Race-strategy solves won, by winning member.",
-            "counter",
-        ));
-        for (s, count) in Strategy::CONCRETE.iter().zip(self.race_wins.iter()) {
-            out.push_str(&format!(
-                "dclab_race_wins_total{{strategy=\"{}\"}} {}\n",
-                escape_label(s.name()),
-                count.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&family(
-            "dclab_bound_kind_total",
-            "Fresh solves, by lower-bound certificate kind.",
-            "counter",
-        ));
-        for (k, count) in BoundKind::ALL.iter().zip(self.bound_kinds.iter()) {
-            out.push_str(&format!(
-                "dclab_bound_kind_total{{kind=\"{}\"}} {}\n",
-                escape_label(k.name()),
-                count.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&self.optimality_gap.to_prometheus(
-            "dclab_optimality_gap",
-            "Relative optimality gap (span - lower_bound) / lower_bound of fresh solves.",
-        ));
-        out.push_str(&counter(
-            "dclab_oracle_labels_built_total",
-            "Hub-label distance oracles built for fresh solves.",
-            self.oracle_labels_built.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_oracle_avg_label_size",
-            "Mean (hub, dist) label entries per vertex across hub builds.",
-            self.oracle_avg_label_size(),
-        ));
-        out.push_str(&counter(
-            "dclab_oracle_query_total",
-            "Point distance queries served by oracle-routed solves.",
-            self.oracle_queries.load(Ordering::Relaxed),
-        ));
-        out.push_str(&gauge(
-            "dclab_oracle_footprint_bytes",
-            "Resident bytes of the most recent hub-label build.",
-            self.oracle_footprint_bytes.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "dclab_oracle_dense_fallback_total",
-            "oracle=auto solves that resolved to the dense matrix.",
-            self.oracle_dense_fallback.load(Ordering::Relaxed),
-        ));
-        out.push_str(&self.solve_latency.to_prometheus(
-            "dclab_solve_latency_seconds",
-            "End-to-end /solve handling latency (cache hits included).",
-        ));
-        out.push_str(&family(
-            "dclab_phase_seconds",
-            "Per-phase solve time attribution from request traces.",
-            "histogram",
-        ));
-        for (i, name) in dclab_trace::PHASES.iter().enumerate() {
-            let h = &self.phase_latency[i];
-            if h.count() == 0 {
-                continue;
+        for row in ROWS {
+            let name = row.name;
+            let _ = writeln!(
+                out,
+                "# HELP {name} {}\n# TYPE {name} {}",
+                row.help, row.kind
+            );
+            for (label, value) in row.samples(&scrape) {
+                let labels = row.label.map_or(String::new(), |(key, _)| {
+                    format!("{key}=\"{}\"", escape_label(label))
+                });
+                match value {
+                    Value::U64(v) | Value::Flag(v) => {
+                        let _ = writeln!(out, "{} {v}", series(name, &labels));
+                    }
+                    Value::Latency(h) => out.push_str(&h.prometheus_samples(name, &labels)),
+                    Value::Gap(h) => out.push_str(&h.prometheus_samples(name, &labels)),
+                }
             }
-            let labels = format!("phase=\"{}\",", escape_label(name));
-            out.push_str(&h.prometheus_samples("dclab_phase_seconds", &labels));
         }
         out
     }
 
-    /// The `/metrics?format=json` body.
+    /// The `/metrics?format=json` body, from the same `ROWS`: top-level
+    /// scalars first, then the nested objects (row groups and histograms)
+    /// in order of first appearance.
     pub fn to_json(&self, cache: CacheCounters, store: Option<StoreGauges>) -> String {
-        let strategies = Strategy::CONCRETE
-            .iter()
-            .zip(self.per_strategy.iter())
-            .fold(Obj::new(), |obj, (s, count)| {
-                obj.u64(s.name(), count.load(Ordering::Relaxed))
-            })
-            .finish();
-        let race_wins = Strategy::CONCRETE
-            .iter()
-            .zip(self.race_wins.iter())
-            .fold(Obj::new(), |obj, (s, count)| {
-                obj.u64(s.name(), count.load(Ordering::Relaxed))
-            })
-            .finish();
-        let bound_kinds = BoundKind::ALL
-            .iter()
-            .zip(self.bound_kinds.iter())
-            .fold(Obj::new(), |obj, (k, count)| {
-                obj.u64(k.name(), count.load(Ordering::Relaxed))
-            })
-            .finish();
-        let phases = dclab_trace::PHASES
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.phase_latency[*i].count() > 0)
-            .fold(Obj::new(), |obj, (i, name)| {
-                obj.raw(name, &self.phase_latency[i].to_json())
-            })
-            .finish();
-        let cache_json = Obj::new()
-            .u64("hits", cache.hits)
-            .u64("misses", cache.misses)
-            .u64("coalesced", cache.coalesced)
-            .u64("evictions", cache.evictions)
-            .u64("entries", cache.entries)
-            .u64("bytes", cache.bytes)
-            .finish();
-        let serve_json = Obj::new()
-            .u64(
-                "conns_accepted",
-                self.conns_accepted.load(Ordering::Relaxed),
-            )
-            .u64("conns_open", self.conns_open.load(Ordering::Relaxed))
-            .u64("conns_reaped", self.conns_reaped.load(Ordering::Relaxed))
-            .u64(
-                "rejected_conn_budget",
-                self.rejected_conn_budget.load(Ordering::Relaxed),
-            )
-            .u64(
-                "pool_queue_depth",
-                self.pool_queue_depth.load(Ordering::Relaxed),
-            )
-            .u64(
-                "pool_in_flight",
-                self.pool_in_flight.load(Ordering::Relaxed),
-            )
-            .u64("pool_workers", self.pool_workers.load(Ordering::Relaxed))
-            .finish();
-        let cluster_json = Obj::new()
-            .bool("enabled", self.cluster_enabled.load(Ordering::Relaxed) == 1)
-            .u64("replicas", self.cluster_replicas.load(Ordering::Relaxed))
-            .u64("local", self.cluster_local.load(Ordering::Relaxed))
-            .u64("forwarded", self.cluster_forwarded.load(Ordering::Relaxed))
-            .u64("received", self.cluster_received.load(Ordering::Relaxed))
-            .u64("fallback", self.cluster_fallback.load(Ordering::Relaxed))
-            .finish();
-        let oracle_json = Obj::new()
-            .u64(
-                "labels_built",
-                self.oracle_labels_built.load(Ordering::Relaxed),
-            )
-            .u64("avg_label_size", self.oracle_avg_label_size())
-            .u64("query_total", self.oracle_queries.load(Ordering::Relaxed))
-            .u64(
-                "footprint_bytes",
-                self.oracle_footprint_bytes.load(Ordering::Relaxed),
-            )
-            .u64(
-                "dense_fallback",
-                self.oracle_dense_fallback.load(Ordering::Relaxed),
-            )
-            .finish();
-        let gauges = store.unwrap_or_default();
-        let store_json = Obj::new()
-            .bool("enabled", store.is_some())
-            .u64("hits", self.store_hits.load(Ordering::Relaxed))
-            .u64("misses", self.store_misses.load(Ordering::Relaxed))
-            .u64("appends", self.store_appends.load(Ordering::Relaxed))
-            .u64("flushes", self.store_flushes.load(Ordering::Relaxed))
-            .u64("warm_boot", self.store_warm_boot.load(Ordering::Relaxed))
-            .u64("entries", gauges.entries)
-            .u64("bytes", gauges.bytes)
-            .u64("generation", gauges.generation)
-            .finish();
-        Obj::new()
-            .u64(
-                "requests_total",
-                self.requests_total.load(Ordering::Relaxed),
-            )
-            .u64(
-                "solve_requests",
-                self.solve_requests.load(Ordering::Relaxed),
-            )
-            .u64(
-                "batch_requests",
-                self.batch_requests.load(Ordering::Relaxed),
-            )
-            .u64(
-                "health_requests",
-                self.health_requests.load(Ordering::Relaxed),
-            )
-            .u64(
-                "metrics_requests",
-                self.metrics_requests.load(Ordering::Relaxed),
-            )
-            .u64("responses_2xx", self.responses_2xx.load(Ordering::Relaxed))
-            .u64("responses_4xx", self.responses_4xx.load(Ordering::Relaxed))
-            .u64("responses_5xx", self.responses_5xx.load(Ordering::Relaxed))
-            .u64(
-                "rejected_overload",
-                self.rejected_overload.load(Ordering::Relaxed),
-            )
-            .u64(
-                "solve_timeouts",
-                self.solve_timeouts.load(Ordering::Relaxed),
-            )
-            .u64("slow_solves", self.slow_solves.load(Ordering::Relaxed))
-            .raw("serve", &serve_json)
-            .raw("cluster", &cluster_json)
-            .raw("cache", &cache_json)
-            .raw("store", &store_json)
-            .raw("strategies", &strategies)
-            .raw("race_wins", &race_wins)
-            .raw("bound_kinds", &bound_kinds)
-            .raw("optimality_gap", &self.optimality_gap.to_json())
-            .raw("oracle", &oracle_json)
-            .raw("solve_latency", &self.solve_latency.to_json())
-            .raw("phases", &phases)
-            .finish()
+        let scrape = Scrape::new(self, cache, store);
+        let mut top = Obj::new();
+        let mut nested: Vec<(&str, Nested)> = Vec::new();
+        let mut pinned = Vec::new();
+        for row in ROWS {
+            let group = row.json.split_once('.').map(|(group, key)| {
+                let at = nested.iter().position(|(name, _)| *name == group);
+                let at = at.unwrap_or_else(|| {
+                    nested.push((group, Nested::Group(Vec::new())));
+                    nested.len() - 1
+                });
+                (at, key)
+            });
+            for (label, value) in row.samples(&scrape) {
+                let json = value.to_json();
+                match (group, &value) {
+                    (Some((at, key)), _) => {
+                        let member = (key.replace("{}", label), json);
+                        match row.json_at {
+                            Some(i) => pinned.push((at, i, member)),
+                            None => nested[at].1.push(member),
+                        }
+                    }
+                    (None, Value::Latency(_) | Value::Gap(_)) => {
+                        nested.push((row.json, Nested::Histogram(json)));
+                    }
+                    (None, _) => top = top.raw(&row.json.replace("{}", label), &json),
+                }
+            }
+        }
+        for (at, i, member) in pinned {
+            nested[at].1.insert(i, member);
+        }
+        for (name, object) in nested {
+            top = top.raw(name, &object.finish());
+        }
+        top.finish()
     }
 }
+
+/// A nested object of the JSON body under assembly.
+enum Nested {
+    /// A group's `(key, value)` members, in order.
+    Group(Vec<(String, String)>),
+    /// One pre-rendered histogram.
+    Histogram(String),
+}
+
+impl Nested {
+    fn push(&mut self, member: (String, String)) {
+        self.insert(usize::MAX, member);
+    }
+
+    fn insert(&mut self, at: usize, member: (String, String)) {
+        if let Nested::Group(members) = self {
+            members.insert(at.min(members.len()), member);
+        }
+    }
+
+    fn finish(self) -> String {
+        match self {
+            Nested::Group(members) => members
+                .iter()
+                .fold(Obj::new(), |obj, (key, value)| obj.raw(key, value))
+                .finish(),
+            Nested::Histogram(json) => json,
+        }
+    }
+}
+
+/// What one render reads: the registry plus the snapshots taken outside
+/// it.
+struct Scrape<'a> {
+    m: &'a Metrics,
+    cache: CacheCounters,
+    store: StoreGauges,
+    store_enabled: bool,
+}
+
+impl<'a> Scrape<'a> {
+    fn new(m: &'a Metrics, cache: CacheCounters, store: Option<StoreGauges>) -> Scrape<'a> {
+        Scrape {
+            m,
+            cache,
+            store: store.unwrap_or_default(),
+            store_enabled: store.is_some(),
+        }
+    }
+}
+
+/// One sample's value.
+enum Value<'a> {
+    U64(u64),
+    /// A 0/1 gauge, rendered as `true`/`false` in JSON.
+    Flag(u64),
+    Latency(&'a LatencyHistogram),
+    Gap(&'a GapHistogram),
+}
+
+impl Value<'_> {
+    fn to_json(&self) -> String {
+        match self {
+            Value::U64(v) => v.to_string(),
+            Value::Flag(v) => (*v == 1).to_string(),
+            Value::Latency(h) => h.to_json(),
+            Value::Gap(h) => h.to_json(),
+        }
+    }
+}
+
+fn load(a: &AtomicU64) -> Value<'static> {
+    Value::U64(a.load(Ordering::Relaxed))
+}
+
+/// Reads a row's value at scrape time; the `usize` indexes the row's label
+/// values (0 for an unlabelled row).
+type Read = for<'a> fn(&Scrape<'a>, usize) -> Value<'a>;
+
+/// The label values a labelled row expands over, in exposition order.
+type LabelValues = fn() -> Vec<&'static str>;
+
+/// One metric family: everything both output formats need to know about
+/// it.
+struct Row {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    /// Label key and values, for a family of several series.
+    label: Option<(&'static str, LabelValues)>,
+    /// Place in the JSON body: a top-level key or `group.key`; in a
+    /// labelled row `{}` stands for the label value.
+    json: &'static str,
+    /// Index inside the JSON group, for a key whose JSON position differs
+    /// from its place in the exposition.
+    json_at: Option<usize>,
+    read: Read,
+}
+
+const fn row(
+    kind: &'static str,
+    name: &'static str,
+    help: &'static str,
+    json: &'static str,
+    read: Read,
+) -> Row {
+    Row {
+        name,
+        kind,
+        help,
+        label: None,
+        json,
+        json_at: None,
+        read,
+    }
+}
+
+const fn counter(name: &'static str, help: &'static str, json: &'static str, read: Read) -> Row {
+    row("counter", name, help, json, read)
+}
+
+const fn gauge(name: &'static str, help: &'static str, json: &'static str, read: Read) -> Row {
+    row("gauge", name, help, json, read)
+}
+
+const fn histogram(name: &'static str, help: &'static str, json: &'static str, read: Read) -> Row {
+    row("histogram", name, help, json, read)
+}
+
+impl Row {
+    /// Expand the row over `values()`, labelled `key`.
+    const fn by(self, key: &'static str, values: LabelValues) -> Row {
+        Row {
+            label: Some((key, values)),
+            ..self
+        }
+    }
+
+    const fn json_at(self, index: usize) -> Row {
+        Row {
+            json_at: Some(index),
+            ..self
+        }
+    }
+
+    /// `(label value, value)` per sample; the label is `""` for an
+    /// unlabelled row. A labelled histogram series appears once it has
+    /// samples.
+    fn samples<'a>(&self, scrape: &Scrape<'a>) -> Vec<(&'static str, Value<'a>)> {
+        let Some((_, values)) = self.label else {
+            return vec![("", (self.read)(scrape, 0))];
+        };
+        values()
+            .into_iter()
+            .enumerate()
+            .map(|(i, label)| (label, (self.read)(scrape, i)))
+            .filter(|(_, value)| !matches!(value, Value::Latency(h) if h.count() == 0))
+            .collect()
+    }
+}
+
+fn strategy_names() -> Vec<&'static str> {
+    Strategy::CONCRETE.iter().map(|s| s.name()).collect()
+}
+
+/// Every `/metrics` family, in exposition order. To add a metric, add one
+/// row.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    counter("dclab_requests_total", "Requests answered, over all endpoints and error paths.",
+        "requests_total", |s, _| load(&s.m.requests_total)),
+    counter("dclab_endpoint_requests_total", "Requests routed, by endpoint.", "{}_requests",
+        |s, i| load([&s.m.solve_requests, &s.m.batch_requests, &s.m.health_requests,
+                     &s.m.metrics_requests][i]))
+        .by("endpoint", || vec!["solve", "batch", "health", "metrics"]),
+    counter("dclab_responses_total", "Responses sent, by status class.", "responses_{}",
+        |s, i| load([&s.m.responses_2xx, &s.m.responses_4xx, &s.m.responses_5xx][i]))
+        .by("class", || vec!["2xx", "4xx", "5xx"]),
+    counter("dclab_rejected_overload_total",
+        "Requests shed with 503 because the worker queue was full.",
+        "rejected_overload", |s, _| load(&s.m.rejected_overload)),
+    // In JSON this key follows the connection gauges it precedes here.
+    counter("dclab_rejected_conn_budget_total",
+        "Connections shed with 503 at the connection budget (--max-conns).",
+        "serve.rejected_conn_budget", |s, _| load(&s.m.rejected_conn_budget))
+        .json_at(3),
+    counter("dclab_conns_accepted_total", "Connections accepted.",
+        "serve.conns_accepted", |s, _| load(&s.m.conns_accepted)),
+    gauge("dclab_conns_open", "Currently open connections.",
+        "serve.conns_open", |s, _| load(&s.m.conns_open)),
+    counter("dclab_conns_reaped_total", "Connections reaped by the idle deadline (--conn-idle-ms).",
+        "serve.conns_reaped", |s, _| load(&s.m.conns_reaped)),
+    gauge("dclab_pool_queue_depth", "Jobs waiting in the worker-pool queue.",
+        "serve.pool_queue_depth", |s, _| load(&s.m.pool_queue_depth)),
+    gauge("dclab_pool_in_flight", "Jobs currently executing on pool workers.",
+        "serve.pool_in_flight", |s, _| load(&s.m.pool_in_flight)),
+    gauge("dclab_pool_workers", "Worker threads in the solve pool.",
+        "serve.pool_workers", |s, _| load(&s.m.pool_workers)),
+    gauge("dclab_cluster_enabled", "1 when serving as a member of a --cluster replica set.",
+        "cluster.enabled", |s, _| Value::Flag(s.m.cluster_enabled.load(Ordering::Relaxed))),
+    gauge("dclab_cluster_replicas", "Replica-set size (including this node).",
+        "cluster.replicas", |s, _| load(&s.m.cluster_replicas)),
+    counter("dclab_cluster_requests_total", "Cluster-routed solve requests, by route taken.",
+        "cluster.{}",
+        |s, i| load([&s.m.cluster_local, &s.m.cluster_forwarded, &s.m.cluster_received,
+                     &s.m.cluster_fallback][i]))
+        .by("route", || vec!["local", "forwarded", "received", "fallback"]),
+    counter("dclab_cache_hits_total", "Report-cache hits.",
+        "cache.hits", |s, _| Value::U64(s.cache.hits)),
+    counter("dclab_cache_misses_total", "Report-cache misses (fresh solves).",
+        "cache.misses", |s, _| Value::U64(s.cache.misses)),
+    counter("dclab_cache_coalesced_total", "Requests that joined an identical in-flight solve.",
+        "cache.coalesced", |s, _| Value::U64(s.cache.coalesced)),
+    counter("dclab_cache_evictions_total", "Cache entries evicted under the memory budget.",
+        "cache.evictions", |s, _| Value::U64(s.cache.evictions)),
+    gauge("dclab_cache_entries", "Live report-cache entries.",
+        "cache.entries", |s, _| Value::U64(s.cache.entries)),
+    gauge("dclab_cache_bytes", "Approximate report-cache bytes.",
+        "cache.bytes", |s, _| Value::U64(s.cache.bytes)),
+    gauge("dclab_store_enabled", "1 when a persistent solution archive is attached.",
+        "store.enabled", |s, _| Value::Flag(s.store_enabled as u64)),
+    counter("dclab_store_hits_total", "LRU misses answered from the persistent archive.",
+        "store.hits", |s, _| load(&s.m.store_hits)),
+    counter("dclab_store_misses_total", "Archive lookups that fell through to a fresh solve.",
+        "store.misses", |s, _| load(&s.m.store_misses)),
+    counter("dclab_store_appends_total", "Fresh solves write-behind-appended to the archive.",
+        "store.appends", |s, _| load(&s.m.store_appends)),
+    counter("dclab_store_flushes_total", "Archive fsyncs (shutdown drain, explicit flushes).",
+        "store.flushes", |s, _| load(&s.m.store_flushes)),
+    gauge("dclab_store_warm_boot_entries",
+        "Entries loaded from the archive into the cache at start.",
+        "store.warm_boot", |s, _| load(&s.m.store_warm_boot)),
+    gauge("dclab_store_entries", "Live records in the persistent archive.",
+        "store.entries", |s, _| Value::U64(s.store.entries)),
+    gauge("dclab_store_bytes", "Bytes of live archive log data.",
+        "store.bytes", |s, _| Value::U64(s.store.bytes)),
+    gauge("dclab_store_generation", "Archive compaction generation stamp.",
+        "store.generation", |s, _| Value::U64(s.store.generation)),
+    counter("dclab_solves_total", "Fresh solves completed, by concrete strategy.",
+        "strategies.{}", |s, i| load(&s.m.per_strategy[i]))
+        .by("strategy", strategy_names),
+    counter("dclab_solve_timeouts_total",
+        "Fresh solves whose deadline fired before an optimality proof.",
+        "solve_timeouts", |s, _| load(&s.m.solve_timeouts)),
+    counter("dclab_slow_solves_total", "Solves slow enough to be written to the slow-solve log.",
+        "slow_solves", |s, _| load(&s.m.slow_solves)),
+    counter("dclab_race_wins_total", "Race-strategy solves won, by winning member.",
+        "race_wins.{}", |s, i| load(&s.m.race_wins[i]))
+        .by("strategy", strategy_names),
+    counter("dclab_bound_kind_total", "Fresh solves, by lower-bound certificate kind.",
+        "bound_kinds.{}", |s, i| load(&s.m.bound_kinds[i]))
+        .by("kind", || BoundKind::ALL.iter().map(|k| k.name()).collect()),
+    histogram("dclab_optimality_gap",
+        "Relative optimality gap (span - lower_bound) / lower_bound of fresh solves.",
+        "optimality_gap", |s, _| Value::Gap(&s.m.optimality_gap)),
+    counter("dclab_oracle_labels_built_total", "Hub-label distance oracles built for fresh solves.",
+        "oracle.labels_built", |s, _| load(&s.m.oracle_labels_built)),
+    gauge("dclab_oracle_avg_label_size",
+        "Mean (hub, dist) label entries per vertex across hub builds.",
+        "oracle.avg_label_size", |s, _| Value::U64(s.m.oracle_avg_label_size())),
+    counter("dclab_oracle_query_total", "Point distance queries served by oracle-routed solves.",
+        "oracle.query_total", |s, _| load(&s.m.oracle_queries)),
+    gauge("dclab_oracle_footprint_bytes", "Resident bytes of the most recent hub-label build.",
+        "oracle.footprint_bytes", |s, _| load(&s.m.oracle_footprint_bytes)),
+    counter("dclab_oracle_dense_fallback_total",
+        "oracle=auto solves that resolved to the dense matrix.",
+        "oracle.dense_fallback", |s, _| load(&s.m.oracle_dense_fallback)),
+    histogram("dclab_solve_latency_seconds",
+        "End-to-end /solve handling latency (cache hits included).",
+        "solve_latency", |s, _| Value::Latency(&s.m.solve_latency)),
+    histogram("dclab_phase_seconds", "Per-phase solve time attribution from request traces.",
+        "phases.{}", |s, i| Value::Latency(&s.m.phase_latency[i]))
+        .by("phase", || dclab_trace::PHASES.to_vec()),
+];
 
 #[cfg(test)]
 mod tests {
@@ -897,7 +823,7 @@ mod tests {
         assert_eq!(h.quantile_us(1.0), 0);
         assert!(h.to_json().contains("\"count\":0"));
         // Exposition still renders a complete (all-zero) histogram family.
-        let text = h.to_prometheus("x_seconds", "help");
+        let text = h.prometheus_samples("x_seconds", "");
         assert!(text.contains("x_seconds_bucket{le=\"+Inf\"} 0\n"));
         assert!(text.contains("x_seconds_count 0\n"));
     }
@@ -915,7 +841,7 @@ mod tests {
         assert!(h.quantile_us(0.5) >= 1u64 << LATENCY_BUCKETS);
         // Prometheus: the last bucket renders only under +Inf, never a
         // finite le.
-        let text = h.to_prometheus("x_seconds", "help");
+        let text = h.prometheus_samples("x_seconds", "");
         assert!(text.contains("x_seconds_bucket{le=\"+Inf\"} 3\n"));
         assert_eq!(text.matches("_bucket{le=").count(), 1, "{text}");
     }
@@ -927,7 +853,7 @@ mod tests {
         for us in samples {
             h.record_us(us);
         }
-        let text = h.to_prometheus("x_seconds", "help");
+        let text = h.prometheus_samples("x_seconds", "");
         let json = h.to_json();
         // Totals agree.
         assert!(text.contains(&format!("x_seconds_count {}\n", h.count())));

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use dclab_par::{SubmitError, WorkerPool};
 
-use crate::http::{render_response, try_parse, ParseError, RecvBuffer, Request, MAX_HEAD_BYTES};
+use crate::http::{try_parse, RecvBuffer, Request, MAX_HEAD_BYTES};
 use crate::server::{self, ServeCtx};
 
 /// Raw epoll/eventfd bindings against the libc std already links.
@@ -404,13 +404,12 @@ impl Reactor {
             .metrics
             .rejected_conn_budget
             .fetch_add(1, Ordering::Relaxed);
-        self.ctx.metrics.record_status(503);
-        let rid = server::generate_request_id();
-        let body = server::error_json("connection budget exhausted", "overload");
-        let bytes = render_response(
+        let bytes = server::error_response(
+            &self.ctx,
             503,
-            &[("retry-after", "1"), ("x-request-id", &rid)],
-            body.as_bytes(),
+            "connection budget exhausted",
+            "overload",
+            server::RETRY_AFTER,
             false,
         );
         let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
@@ -521,16 +520,14 @@ impl Reactor {
                     };
                     return self.want(conn, token, sys::EPOLLIN);
                 }
-                Err(ParseError::Bad(reason)) => {
-                    return self.respond_error(conn, token, 400, reason, "bad-request");
-                }
-                Err(ParseError::TooLarge(reason)) => {
-                    let status = if reason.contains("header") { 431 } else { 413 };
-                    return self.respond_error(conn, token, status, reason, "too-large");
-                }
-                // try_parse never returns these.
-                Err(ParseError::ConnectionClosed) | Err(ParseError::Io(_)) => {
-                    return Verdict::Close;
+                Err(e) => {
+                    return match e.response() {
+                        Some((status, reason, kind)) => {
+                            self.respond_error(conn, token, status, reason, kind)
+                        }
+                        // try_parse never returns the others.
+                        None => Verdict::Close,
+                    };
                 }
             }
         }
@@ -539,62 +536,47 @@ impl Reactor {
     /// One complete request: dispatch solves to the pool, answer
     /// everything else inline on the reactor thread.
     fn process_request(&mut self, conn: &mut Conn, token: u64, req: Request) -> Verdict {
-        let rid = server::request_id(&req);
-        if server::needs_worker(&req) {
-            if self.ctx.shutdown_requested() {
-                return self.respond_error(conn, token, 503, "server shutting down", "overload");
+        if !server::needs_worker(&req) {
+            let (bytes, keep_alive) = server::answer(&self.ctx, &req);
+            return self.enqueue_response(conn, token, bytes, !keep_alive);
+        }
+        if self.ctx.shutdown_requested() {
+            return self.respond_error(conn, token, 503, "server shutting down", "overload");
+        }
+        let jctx = Arc::clone(&self.ctx);
+        let jcomp = Arc::clone(&self.completions);
+        let job = move || {
+            let (bytes, keep_alive) = server::answer(&jctx, &req);
+            jcomp.push(token, bytes, keep_alive);
+        };
+        match self.pool.try_submit(job) {
+            Ok(()) => {
+                conn.state = ConnState::Dispatched;
+                conn.last_activity = Instant::now();
+                self.want(conn, token, 0)
             }
-            let jctx = Arc::clone(&self.ctx);
-            let jcomp = Arc::clone(&self.completions);
-            let job = move || {
-                let (status, extra, body) = server::route(&jctx, &req, &rid);
-                let keep_alive = req.keep_alive() && !jctx.shutdown_requested();
-                jctx.metrics.record_status(status);
-                let mut headers: Vec<(&str, &str)> =
-                    extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                headers.push(("x-request-id", &rid));
-                let bytes = render_response(status, &headers, body.as_bytes(), keep_alive);
-                jcomp.push(token, bytes, keep_alive);
-            };
-            match self.pool.try_submit(job) {
-                Ok(()) => {
-                    conn.state = ConnState::Dispatched;
-                    conn.last_activity = Instant::now();
-                    self.want(conn, token, 0)
-                }
-                Err(SubmitError::QueueFull(job)) => {
-                    // Shed before a worker is consumed: the queued job owns
-                    // the request; drop it and answer from the reactor.
-                    drop(job);
-                    self.ctx
-                        .metrics
-                        .rejected_overload
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.ctx.metrics.record_status(503);
-                    let body = server::error_json("server overloaded", "overload");
-                    let keep_alive = true; // the conn is cheap; let the client retry on it
-                    let rid2 = server::generate_request_id();
-                    let bytes = render_response(
-                        503,
-                        &[("retry-after", "1"), ("x-request-id", &rid2)],
-                        body.as_bytes(),
-                        keep_alive,
-                    );
-                    self.enqueue_response(conn, token, bytes, !keep_alive)
-                }
-                Err(SubmitError::ShuttingDown) => {
-                    self.respond_error(conn, token, 503, "server shutting down", "overload")
-                }
+            Err(SubmitError::QueueFull(job)) => {
+                // Shed before a worker is consumed: the queued job owns
+                // the request; drop it and answer from the reactor. The
+                // conn is cheap; let the client retry on it.
+                drop(job);
+                self.ctx
+                    .metrics
+                    .rejected_overload
+                    .fetch_add(1, Ordering::Relaxed);
+                let bytes = server::error_response(
+                    &self.ctx,
+                    503,
+                    "server overloaded",
+                    "overload",
+                    server::RETRY_AFTER,
+                    true,
+                );
+                self.enqueue_response(conn, token, bytes, false)
             }
-        } else {
-            let (status, extra, body) = server::route(&self.ctx, &req, &rid);
-            let keep_alive = req.keep_alive() && !self.ctx.shutdown_requested();
-            self.ctx.metrics.record_status(status);
-            let mut headers: Vec<(&str, &str)> =
-                extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            headers.push(("x-request-id", &rid));
-            let bytes = render_response(status, &headers, body.as_bytes(), keep_alive);
-            self.enqueue_response(conn, token, bytes, !keep_alive)
+            Err(SubmitError::ShuttingDown) => {
+                self.respond_error(conn, token, 503, "server shutting down", "overload")
+            }
         }
     }
 
@@ -608,10 +590,7 @@ impl Reactor {
         reason: &str,
         kind: &str,
     ) -> Verdict {
-        self.ctx.metrics.record_status(status);
-        let rid = server::generate_request_id();
-        let body = server::error_json(reason, kind);
-        let bytes = render_response(status, &[("x-request-id", &rid)], body.as_bytes(), false);
+        let bytes = server::error_response(&self.ctx, status, reason, kind, &[], false);
         self.enqueue_response(conn, token, bytes, true)
     }
 

@@ -1,14 +1,14 @@
 //! The solve service: configuration, request routing, and handlers.
 //!
 //! Architecture (default, Linux): one **epoll reactor thread**
-//! ([`crate::reactor`]) owns every connection as a readiness-driven state
+//! (the `reactor` module) owns every connection as a readiness-driven state
 //! machine; only `POST /solve` and `POST /batch` are dispatched to the
 //! fixed [`WorkerPool`] (bounded queue → back-pressure; overflow is shed
 //! `503` + `Retry-After` *before* a worker is consumed). Every other
 //! endpoint is answered inline on the reactor thread, so `/metrics` and
 //! `/debug/*` stay responsive while all workers are saturated. The
 //! pre-reactor thread-per-connection path survives behind
-//! `--legacy-blocking` ([`crate::blocking`]) as the differential oracle
+//! `--legacy-blocking` (the `blocking` module) as the differential oracle
 //! and the non-Linux fallback.
 //!
 //! Cluster mode (`--cluster a:p1,b:p2,...`, [`crate::cluster`]) makes each
@@ -38,16 +38,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dclab_engine::json::{array, escape, Obj};
-use dclab_engine::{solve, Budget, EngineError, OraclePolicy, SolveReport, SolveRequest, Strategy};
+use dclab_engine::{solve, Budget, OraclePolicy, SolveReport, SolveRequest, Strategy};
 use dclab_graph::io as graph_io;
 use dclab_graph::Graph;
 use dclab_par::WorkerPool;
 use dclab_store::Store;
 use dclab_trace::FlightRecorder;
 
-use crate::cache::{CacheKey, CacheStatus, ReportCache};
+use crate::cache::{CacheKey, CacheStatus, ReportCache, SolveFailure};
 use crate::cluster::{self, Cluster};
-use crate::http::Request;
+use crate::http::{render_response, Request};
 use crate::metrics::{Metrics, StoreGauges};
 use crate::persist;
 
@@ -348,7 +348,7 @@ pub(crate) fn finish_shutdown(ctx: &ServeCtx, pool: &mut WorkerPool) {
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A fresh server-generated request id (process-unique).
-pub(crate) fn generate_request_id() -> String {
+fn generate_request_id() -> String {
     format!(
         "req-{:x}-{:06x}",
         std::process::id(),
@@ -360,7 +360,7 @@ pub(crate) fn generate_request_id() -> String {
 /// sent a sane one (printable ASCII, bounded length), a generated id
 /// otherwise. Client ids flow into logs, trace lookups, and response
 /// headers, so hostile bytes are rejected rather than escaped everywhere.
-pub(crate) fn request_id(req: &Request) -> String {
+fn request_id(req: &Request) -> String {
     match req.header("x-request-id") {
         Some(v) if !v.is_empty() && v.len() <= 64 && v.bytes().all(|b| b.is_ascii_graphic()) => {
             v.to_string()
@@ -369,11 +369,52 @@ pub(crate) fn request_id(req: &Request) -> String {
     }
 }
 
-pub(crate) fn error_json(message: &str, kind: &str) -> String {
+fn error_json(message: &str, kind: &str) -> String {
     Obj::new().str("error", message).str("kind", kind).finish()
 }
 
-pub(crate) type Response = (u16, Vec<(&'static str, String)>, String);
+type Response = (u16, Vec<(&'static str, String)>, String);
+
+/// The extra header of an overload shed.
+pub(crate) const RETRY_AFTER: &[(&str, &str)] = &[("retry-after", "1")];
+
+/// Route one parsed request and render its response: the one answer path
+/// of both serve cores, which is what keeps their bytes identical.
+/// Returns the bytes and whether the connection stays open.
+pub(crate) fn answer(ctx: &ServeCtx, req: &Request) -> (Vec<u8>, bool) {
+    let rid = request_id(req);
+    let (status, extra, body) = route(ctx, req, &rid);
+    // Re-check shutdown *after* routing so the `/shutdown` response itself
+    // closes the connection (and frees a blocking worker for the drain).
+    let keep_alive = req.keep_alive() && !ctx.shutdown_requested();
+    ctx.metrics.record_status(status);
+    let mut headers: Vec<(&str, &str)> = extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    headers.push(("x-request-id", &rid));
+    let bytes = render_response(status, &headers, body.as_bytes(), keep_alive);
+    (bytes, keep_alive)
+}
+
+/// An error answered without routing (a framing error, an overload shed)
+/// under a generated request id, after the `extra` headers.
+pub(crate) fn error_response(
+    ctx: &ServeCtx,
+    status: u16,
+    reason: &str,
+    kind: &str,
+    extra: &[(&str, &str)],
+    keep_alive: bool,
+) -> Vec<u8> {
+    ctx.metrics.record_status(status);
+    let rid = generate_request_id();
+    let mut headers = extra.to_vec();
+    headers.push(("x-request-id", &rid));
+    render_response(
+        status,
+        &headers,
+        error_json(reason, kind).as_bytes(),
+        keep_alive,
+    )
+}
 
 /// Does this request need a solve worker? Only `/solve` and `/batch` do
 /// CPU-bound work; everything else — health, metrics, debug surfaces,
@@ -388,7 +429,7 @@ pub(crate) fn needs_worker(req: &Request) -> bool {
 
 // `requests_total` is bumped by `record_status` in every answer path
 // (routed, parse failure, overload shed), so totals always reconcile.
-pub(crate) fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
+fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
@@ -516,14 +557,7 @@ struct SolveParams {
 
 fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, String> {
     let pvec = match req.query_param("p") {
-        Some(raw) => {
-            let entries: Result<Vec<u64>, _> =
-                raw.split(',').map(|t| t.trim().parse::<u64>()).collect();
-            let entries = entries.map_err(|e| format!("bad p-vector '{raw}': {e}"))?;
-            dclab_core::pvec::PVec::new(entries).ok_or_else(|| {
-                format!("bad p-vector '{raw}': must be non-empty and not all-zero")
-            })?
-        }
+        Some(raw) => raw.parse()?,
         None => dclab_core::pvec::PVec::l21(),
     };
     let strategy = match req.query_param("strategy") {
@@ -547,11 +581,10 @@ fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, Stri
         Some(raw) => raw.parse::<OraclePolicy>()?,
         None => OraclePolicy::Auto,
     };
+    // `auto` (or no format) sniffs the body.
     let format = match req.query_param("format") {
         None | Some("auto") => None,
-        Some("edgelist") | Some("edge-list") => Some(graph_io::Format::EdgeList),
-        Some("dimacs") | Some("col") => Some(graph_io::Format::Dimacs),
-        Some(other) => return Err(format!("unknown format '{other}'")),
+        Some(raw) => Some(raw.parse()?),
     };
     Ok(SolveParams {
         pvec,
@@ -584,26 +617,15 @@ fn parse_instance(body: &str, format: Option<graph_io::Format>) -> Result<Graph,
     graph_io::parse(body, format).map_err(|e| e.to_string())
 }
 
-/// `(status, kind)` for an engine failure; guard refusals are the
-/// unprocessable-instance contract (HTTP 422).
-fn engine_error_meta(e: &EngineError) -> (u16, &'static str) {
-    match e {
-        EngineError::Guard(_) => (422, "guard"),
-        EngineError::Reduction(_) => (422, "reduction"),
-        EngineError::Unsupported { .. } => (422, "unsupported"),
-        EngineError::Internal(_) => (500, "internal"),
-    }
-}
-
 /// Cache-through solve of one instance under a pre-computed key (the
 /// caller needs the key anyway for cluster routing). Returns the report
-/// and cache status, or an error response triple.
+/// and cache status, or the failure every requester of the flight shares.
 fn cached_solve(
     ctx: &ServeCtx,
     key: &CacheKey,
     graph: Graph,
     params: &SolveParams,
-) -> Result<(SolveReport, CacheStatus), (u16, &'static str, String)> {
+) -> Result<(SolveReport, CacheStatus), SolveFailure> {
     let (result, status) = ctx.cache.get_or_solve(key, || {
         // LRU miss: consult the persistent archive before paying for a
         // solve (covers evicted entries and corpora imported offline).
@@ -621,56 +643,33 @@ fn cached_solve(
             budget: params.budget,
             oracle: params.oracle,
         };
-        match solve(&req) {
-            Ok(report) => {
-                ctx.metrics.record_strategy(report.strategy_used);
-                if let Some(o) = &report.stats.oracle {
-                    ctx.metrics.record_oracle(o, report.stats.features.n);
-                }
-                if report.stats.timed_out {
-                    ctx.metrics.solve_timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.metrics
-                    .record_bound(report.stats.bound.kind, report.gap());
-                if params.strategy == Strategy::Race {
-                    ctx.metrics.record_race_winner(report.strategy_used);
-                }
-                // Write-behind: the record reaches the OS before the
-                // response; fsync happens at the shutdown drain. Timed-out
-                // harvests stay out of the archive — persisting one would
-                // warm-boot that load-dependent quality level forever.
-                if let Some(store) = &ctx.store {
-                    if !report.stats.timed_out
-                        && matches!(persist::store_append(store, key, &report), Ok(true))
-                    {
-                        ctx.metrics.store_appends.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                let (code, kind) = engine_error_meta(&e);
-                // Encode the HTTP meta in the shared error string so
-                // coalesced waiters reconstruct the same response.
-                Err(format!("{code}\x1f{kind}\x1f{e}"))
+        let report = solve(&req)?;
+        ctx.metrics.record_strategy(report.strategy_used);
+        if let Some(o) = &report.stats.oracle {
+            ctx.metrics.record_oracle(o, report.stats.features.n);
+        }
+        if report.stats.timed_out {
+            ctx.metrics.solve_timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+        ctx.metrics
+            .record_bound(report.stats.bound.kind, report.gap());
+        if params.strategy == Strategy::Race {
+            ctx.metrics.record_race_winner(report.strategy_used);
+        }
+        // Write-behind: the record reaches the OS before the
+        // response; fsync happens at the shutdown drain. Timed-out
+        // harvests stay out of the archive — persisting one would
+        // warm-boot that load-dependent quality level forever.
+        if let Some(store) = &ctx.store {
+            if !report.stats.timed_out
+                && matches!(persist::store_append(store, key, &report), Ok(true))
+            {
+                ctx.metrics.store_appends.fetch_add(1, Ordering::Relaxed);
             }
         }
+        Ok(report)
     });
-    match result {
-        Ok(report) => Ok((report, status)),
-        Err(encoded) => {
-            let mut parts = encoded.splitn(3, '\x1f');
-            let code: u16 = parts.next().and_then(|c| c.parse().ok()).unwrap_or(500);
-            let kind = match parts.next() {
-                Some("guard") => "guard",
-                Some("reduction") => "reduction",
-                Some("unsupported") => "unsupported",
-                _ => "internal",
-            };
-            let message = parts.next().unwrap_or("solve failed").to_string();
-            Err((code, kind, message))
-        }
-    }
+    result.map(|report| (report, status))
 }
 
 fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
@@ -777,7 +776,7 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
             report.strategy_used.name().to_string(),
             report.stats.timed_out,
         ),
-        Err((_, kind, _)) => (format!("error-{kind}"), false),
+        Err(e) => (format!("error-{}", e.kind), false),
     };
     let finished = trace
         .finish(rid.to_string(), label.clone())
@@ -808,7 +807,7 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
             }
             (200, extra, report.to_json())
         }
-        Err((code, kind, message)) => (code, vec![], error_json(&message, kind)),
+        Err(e) => (e.status, vec![], error_json(&e.message, e.kind)),
     }
 }
 
@@ -852,12 +851,10 @@ fn batch_endpoint(ctx: &ServeCtx, req: &Request) -> Response {
                             .raw("report", &report.to_json())
                             .finish()
                     }
-                    Err((_, kind, message)) => {
-                        Obj::new().str("error", &message).str("kind", kind).finish()
-                    }
+                    Err(e) => error_json(&e.message, e.kind),
                 }
             }
-            Err(e) => Obj::new().str("error", &e).str("kind", "parse").finish(),
+            Err(e) => error_json(&e, "parse"),
         };
         items.push(item);
     }

@@ -8,10 +8,11 @@
 //! * [`local_opt`] / [`two_opt`] / [`or_opt`] — the fast path: CSR
 //!   candidate lists with precomputed edge weights, gain evaluation in
 //!   fixed chunks of [`candidates::CHUNK`] with a branch-free best-gain
-//!   reduction ([`vector`]);
+//!   reduction (the private `vector` module);
 //! * [`local_opt_scalar`] / [`two_opt_scalar`] / [`or_opt_scalar`] — the
 //!   scalar oracle: plain `Vec<Vec<u32>>` neighbor lists, weights re-read
-//!   from the matrix, one candidate at a time ([`scalar`]).
+//!   from the matrix, one candidate at a time (the private `scalar`
+//!   module).
 //!
 //! The two paths pick identical moves in identical order (best 2-opt gain
 //! over the sorted candidate prefix with lowest-index ties, then
@@ -57,7 +58,7 @@ pub struct LocalSearchConfig {
     /// Safety cap on full improvement rounds.
     pub max_rounds: usize,
     /// Cooperative wall-clock budget, checked every
-    /// [`DEADLINE_SCAN_MASK`]` + 1` city scans (and between chained-LK
+    /// `DEADLINE_SCAN_MASK + 1` city scans (and between chained-LK
     /// kicks upstream). The default [`Deadline::none`] never fires and
     /// costs an amortized branch, keeping deadline-free runs bit-identical
     /// to the pre-deadline code.
